@@ -95,19 +95,14 @@ BenchCli::BenchCli(int &argc, char **argv)
         } else if (std::strncmp(arg, "--sim-kernel=", 13) == 0) {
             const char *k = arg + 13;
             if (std::strcmp(k, "event") == 0) {
-                _kernel = 1;
+                _tickKernel = false;
             } else if (std::strcmp(k, "tick") == 0) {
-                _kernel = 0;
-            } else if (std::strcmp(k, "parallel") == 0) {
-                _kernel = 2;
+                _tickKernel = true;
             } else {
                 std::cerr << "bad --sim-kernel '" << k
-                          << "' (expected tick, event or parallel)\n";
+                          << "' (expected tick or event)\n";
                 std::exit(2);
             }
-        } else if (std::strncmp(arg, "--sim-threads=", 14) == 0) {
-            _simThreads = static_cast<unsigned>(
-                std::strtoul(arg + 14, nullptr, 10));
         } else if (std::strncmp(arg, "--watchdog=", 11) == 0) {
             _watchdog = std::strtoull(arg + 11, nullptr, 10);
         } else if (std::strcmp(arg, "--quick") == 0) {
@@ -129,25 +124,6 @@ BenchCli::BenchCli(int &argc, char **argv)
         // KPIs only: heartbeat without per-component timing.
         _profiler = std::make_unique<HostProfiler>(
             HostProfiler::Mode::KpiOnly);
-
-    // The parallel kernel refuses serial-only observability; fail the
-    // combination as a usage error before elaboration rather than as
-    // a ConfigError mid-run.
-    if (_kernel == 2) {
-        if (!_tracePath.empty() || !_powerTracePath.empty() ||
-            !_powerJsonPath.empty()) {
-            std::cerr << "--sim-kernel=parallel does not support "
-                         "--trace / --power-trace / --power-json "
-                         "(serial-kernel observability)\n";
-            std::exit(2);
-        }
-        if (host_profile) {
-            std::cerr << "--sim-kernel=parallel supports only KPI "
-                         "profiling (--perf-json), not "
-                         "--host-profile\n";
-            std::exit(2);
-        }
-    }
 
     // Fail unwritable output paths before any simulation runs. The
     // append-mode probe creates missing files but never truncates an
@@ -192,21 +168,13 @@ BenchCli::armWatchdog(Simulator &sim) const
 SimKernel
 BenchCli::simKernel() const
 {
-    switch (_kernel) {
-      case 0:
-        return SimKernel::Tick;
-      case 2:
-        return SimKernel::Parallel;
-      default:
-        return SimKernel::Event;
-    }
+    return _tickKernel ? SimKernel::Tick : SimKernel::Event;
 }
 
 void
 BenchCli::instrument(Simulator &sim) const
 {
     sim.setKernel(simKernel());
-    sim.setParallelThreads(_simThreads);
     armWatchdog(sim);
     if (_profiler != nullptr)
         sim.attachHostProfiler(_profiler.get());

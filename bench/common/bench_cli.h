@@ -38,15 +38,9 @@
  *                       cycles without forward progress; 0 = off)
  *   --sim-kernel=K      simulation kernel: "event" (default; quiescent
  *                       modules sleep until a queue event re-arms
- *                       them), "tick" (the plain tick-everything
- *                       reference kernel), or "parallel" (sharded
- *                       multi-threaded execution with epoch barriers
- *                       at the NoC/AXI boundaries; refuses traces and
- *                       power meters). All three produce bit-identical
+ *                       them) or "tick" (the plain tick-everything
+ *                       reference kernel). Both produce bit-identical
  *                       stats digests
- *   --sim-threads=N     worker threads for --sim-kernel=parallel
- *                       (0 = one per execution group, the default;
- *                       ignored by the serial kernels)
  *   --no-invariants     detach the live SocInvariants observers (AXI
  *                       legality, response accounting, NoC occupancy);
  *                       they are on by default and abort the bench on
@@ -178,10 +172,9 @@ class BenchCli
     u64 _powerWindow = 1024;
     bool _quick = false;
     bool _invariants = true;
-    /** --sim-kernel selection: 0 tick, 1 event (default), 2 parallel.
-     *  Stored as an int so the header needn't see the SimKernel enum. */
-    int _kernel = 1;
-    unsigned _simThreads = 0; ///< --sim-threads (parallel kernel)
+    /** --sim-kernel=tick; event is the default. A flag rather than a
+     *  SimKernel so the header needn't see the enum. */
+    bool _tickKernel = false;
     u64 _watchdog = 0;
     u64 _startNs = 0;
     std::unique_ptr<TraceSink> _sink;

@@ -1,9 +1,5 @@
 #include "analysis/analyze.h"
 
-#include <map>
-#include <set>
-#include <sstream>
-
 #include "core/soc.h"
 #include "lint/lint.h"
 
@@ -16,53 +12,7 @@ namespace
 {
 
 /// Deferral latch for AcceleratorSoc's constructor-tail validation.
-bool g_deferSocGraphValidation = false;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:   out += c; break;
-        }
-    }
-    return out;
-}
-
-std::string
-shardName(const SimGraph &g, int id)
-{
-    for (const GraphShard &s : g.shards) {
-        if (s.id == id)
-            return s.name;
-    }
-    return "shard" + std::to_string(id);
-}
-
-/** Shards @p st is reachable from: accessor homes plus pull shards. */
-std::set<int>
-stateShards(const SimGraph &g, const GraphSharedState &st)
-{
-    std::set<int> shards;
-    if (st.spansAllShards) {
-        for (const GraphShard &s : g.shards)
-            shards.insert(s.id);
-        return shards;
-    }
-    for (int a : st.accessors) {
-        if (g.modules[a].shard != kNoShard)
-            shards.insert(g.modules[a].shard);
-    }
-    for (int s : st.extraShards)
-        shards.insert(s);
-    return shards;
-}
+thread_local bool g_deferSocGraphValidation = false;
 
 } // namespace
 
@@ -78,22 +28,11 @@ socGraphValidationDeferred()
     return g_deferSocGraphValidation;
 }
 
-std::vector<GraphRuleEntry>
-analysisRules()
-{
-    std::vector<GraphRuleEntry> all;
-    for (const GraphRuleEntry &r : graphRules())
-        all.push_back(r);
-    for (const GraphRuleEntry &r : shardRules())
-        all.push_back(r);
-    return all;
-}
-
 lint::DiagnosticReport
 analyzeGraph(const SimGraph &g, const lint::CompositionModel *model)
 {
     lint::DiagnosticReport rep;
-    for (const GraphRuleEntry &rule : analysisRules())
+    for (const GraphRuleEntry &rule : graphRules())
         rule.fn(g, model, rep);
     return rep;
 }
@@ -126,81 +65,6 @@ predictGraphShape(const lint::CompositionModel &model)
     shape.pumps = 1 + (model.readEndpoints > 0 ? 1 : 0) +
                   (model.writeEndpoints > 0 ? 1 : 0);
     return shape;
-}
-
-std::string
-shardReportJson(const SimGraph &g)
-{
-    std::ostringstream os;
-    os << "{\n  \"schema\": \"beethoven-shard-report-1\",\n";
-
-    // Candidate partition.
-    os << "  \"shards\": [";
-    for (std::size_t i = 0; i < g.shards.size(); ++i) {
-        std::size_t members = 0;
-        for (const GraphModule &m : g.modules)
-            members += m.shard == g.shards[i].id ? 1 : 0;
-        os << (i == 0 ? "\n" : ",\n") << "    {\"id\": "
-           << g.shards[i].id << ", \"name\": \""
-           << jsonEscape(g.shards[i].name) << "\", \"modules\": "
-           << members << "}";
-    }
-    os << "\n  ],\n";
-
-    std::size_t uncovered = 0;
-    for (const GraphModule &m : g.modules)
-        uncovered += m.shard == kNoShard ? 1 : 0;
-    os << "  \"uncovered_modules\": " << uncovered << ",\n";
-
-    // Every piece of mutable state reachable from >1 shard — the
-    // work-list for the parallel-sharding PR, with provenance.
-    os << "  \"cross_shard_state\": [";
-    bool first = true;
-    for (const GraphSharedState &st : g.sharedStates) {
-        const std::set<int> shards = stateShards(g, st);
-        if (shards.size() <= 1)
-            continue;
-        os << (first ? "\n" : ",\n");
-        first = false;
-        os << "    {\"name\": \"" << jsonEscape(st.name)
-           << "\", \"kind\": \"" << jsonEscape(st.kind)
-           << "\", \"site\": \"" << jsonEscape(st.site.str())
-           << "\", \"accessors\": " << st.accessors.size()
-           << ", \"spans_all\": "
-           << (st.spansAllShards ? "true" : "false") << ", \"shards\": [";
-        bool sfirst = true;
-        for (int s : shards) {
-            os << (sfirst ? "" : ", ") << "\""
-               << jsonEscape(shardName(g, s)) << "\"";
-            sfirst = false;
-        }
-        os << "]}";
-    }
-    os << (first ? "" : "\n  ") << "],\n";
-
-    // Queue edges crossing the partition: the future inter-shard
-    // message channels, aggregated per ordered shard pair.
-    std::map<std::pair<int, int>, std::size_t> crossings;
-    for (const GraphEdge &e : g.edges) {
-        if (e.producer == kNoIndex || e.consumer == kNoIndex)
-            continue;
-        const int ps = g.modules[e.producer].shard;
-        const int cs = g.modules[e.consumer].shard;
-        if (ps == kNoShard || cs == kNoShard || ps == cs)
-            continue;
-        ++crossings[{ps, cs}];
-    }
-    os << "  \"crossing_edges\": [";
-    first = true;
-    for (const auto &[pair, count] : crossings) {
-        os << (first ? "\n" : ",\n");
-        first = false;
-        os << "    {\"from\": \"" << jsonEscape(shardName(g, pair.first))
-           << "\", \"to\": \"" << jsonEscape(shardName(g, pair.second))
-           << "\", \"edges\": " << count << "}";
-    }
-    os << (first ? "" : "\n  ") << "]\n}\n";
-    return os.str();
 }
 
 } // namespace analysis

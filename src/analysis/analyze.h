@@ -4,9 +4,8 @@
  *
  * Extends the PR 4 composition linter from *configuration* legality to
  * *simulation-graph* legality: rules over the SimGraph IR prove the
- * event kernel's wake/sleep contract (BTH10x) and audit the candidate
- * shard partition for the parallel kernel (BTH11x) before a single
- * cycle runs. Diagnostics reuse the lint Diagnostic/DiagnosticReport
+ * event kernel's wake/sleep contract (BTH10x) before a single cycle
+ * runs. Diagnostics reuse the lint Diagnostic/DiagnosticReport
  * machinery and the stable-code registry; all violations are reported
  * in one pass.
  */
@@ -14,7 +13,6 @@
 #ifndef BEETHOVEN_ANALYSIS_ANALYZE_H
 #define BEETHOVEN_ANALYSIS_ANALYZE_H
 
-#include <string>
 #include <vector>
 
 #include "analysis/sim_graph.h"
@@ -43,19 +41,13 @@ namespace analysis
 struct GraphRuleEntry
 {
     const char *name;
-    const char *layer; ///< "graph" | "shard"
+    const char *layer; ///< "graph"
     void (*fn)(const SimGraph &g, const lint::CompositionModel *model,
                lint::DiagnosticReport &rep);
 };
 
 /** Wake-contract and livelock rules (BTH100..BTH106). */
 const std::vector<GraphRuleEntry> &graphRules();
-
-/** Shard-readiness rules (BTH110..BTH112). */
-const std::vector<GraphRuleEntry> &shardRules();
-
-/** All analyzer rules, graph layer first. */
-std::vector<GraphRuleEntry> analysisRules();
 
 /** Run every analyzer rule over @p g. */
 lint::DiagnosticReport analyzeGraph(
@@ -88,18 +80,11 @@ struct GraphShape
 GraphShape predictGraphShape(const lint::CompositionModel &model);
 
 /**
- * The machine-readable shard-readiness report: the candidate
- * partition, every cross-shard shared-state site with file:line
- * provenance, and the shard-crossing queue census — the work-list for
- * the parallel-sharding PR.
- */
-std::string shardReportJson(const SimGraph &g);
-
-/**
  * When deferred, AcceleratorSoc's constructor-tail graph validation
  * records nothing and does not throw; tools and tests that want the
  * DiagnosticReport (or that plant violations on purpose) defer it and
- * call analyzeSoc() themselves.
+ * call analyzeSoc() themselves. Per thread: deferring on one thread
+ * leaves elaborations on other threads gated.
  */
 void setDeferSocGraphValidation(bool defer);
 bool socGraphValidationDeferred();

@@ -26,7 +26,6 @@ buildSimGraph(const Simulator &sim)
         m.sleepSite = info.sleepSite;
         m.selfWake = info.selfWake;
         m.selfWakeSite = info.selfWakeSite;
-        m.shard = info.shard;
         g.modules.push_back(std::move(m));
     }
 
@@ -52,27 +51,6 @@ buildSimGraph(const Simulator &sim)
         edge.popWakeArmed = e.popWakeArmed;
         g.edges.push_back(std::move(edge));
     }
-
-    g.sharedStates.reserve(rec.sharedStates().size());
-    for (const SimGraphRecord::SharedState &s : rec.sharedStates()) {
-        GraphSharedState st;
-        st.name = s.name;
-        st.kind = s.kind;
-        st.site = s.site;
-        for (Module *m : s.accessors) {
-            const int idx = lookup(m);
-            if (idx != kNoIndex)
-                st.accessors.push_back(idx);
-        }
-        st.extraShards = s.extraShards;
-        st.spansAllShards = s.spansAllShards;
-        st.resolution = s.resolution;
-        g.sharedStates.push_back(std::move(st));
-    }
-
-    g.shards.reserve(rec.shards().size());
-    for (const SimGraphRecord::Shard &s : rec.shards())
-        g.shards.push_back(GraphShard{s.id, s.name});
 
     return g;
 }

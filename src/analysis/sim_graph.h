@@ -4,9 +4,8 @@
  * analyzer rules run over (DESIGN.md §5d).
  *
  * Lowered from a Simulator's SimGraphRecord after elaboration: modules
- * become index-addressed nodes, every TimedQueue becomes a directed
- * edge carrying its wake wiring, and shard assignments plus shared-
- * state registrations ride along. Plain structs with no back-pointers
+ * become index-addressed nodes and every TimedQueue becomes a directed
+ * edge carrying its wake wiring. Plain structs with no back-pointers
  * into the simulator, so rules (and tests) can also build graphs by
  * hand.
  */
@@ -29,7 +28,6 @@ namespace analysis
 {
 
 constexpr int kNoIndex = -1;
-constexpr int kNoShard = -1;
 
 /**
  * A provenance site in the IR. Lowering stores the raw file/line pair
@@ -69,7 +67,6 @@ struct GraphModule
     Site sleepSite;
     bool selfWake = false;
     Site selfWakeSite;
-    int shard = kNoShard;
 };
 
 /** One TimedQueue: producer -> consumer with its wake wiring. */
@@ -87,32 +84,10 @@ struct GraphEdge
     bool popWakeArmed = false;
 };
 
-/** Mutable state reachable from more than one module. */
-struct GraphSharedState
-{
-    std::string name;
-    std::string kind; ///< stat | trace | power | dram-map | sim
-    Site site; ///< registration site (file:line)
-    std::vector<int> accessors;   ///< module indices that touch it
-    std::vector<int> extraShards; ///< shards that pull without a module
-    bool spansAllShards = false;
-    /** How the hazard is discharged under the parallel kernel
-     *  ("" = unresolved; downgrades BTH110 to a BTH113 note). */
-    std::string resolution;
-};
-
-struct GraphShard
-{
-    int id = kNoShard;
-    std::string name;
-};
-
 struct SimGraph
 {
     std::vector<GraphModule> modules;
     std::vector<GraphEdge> edges;
-    std::vector<GraphSharedState> sharedStates;
-    std::vector<GraphShard> shards;
 };
 
 /** Lower @p sim's registration record into the analyzer IR. */

@@ -1,5 +1,6 @@
 #include "base/log.h"
 
+#include <atomic>
 #include <cstdarg>
 #include <vector>
 
@@ -32,7 +33,9 @@ formatMessage(const char *fmt, ...)
 
 namespace
 {
-bool informEnabled = true;
+// Process-wide (a user silences the whole program), so atomic: runs on
+// several threads may log while one of them toggles it.
+std::atomic<bool> informEnabled{true};
 } // namespace
 
 void
@@ -58,14 +61,14 @@ warnImpl(const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    if (informEnabled)
+    if (informEnabled.load(std::memory_order_relaxed))
         std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 void
 setInformEnabled(bool enabled)
 {
-    informEnabled = enabled;
+    informEnabled.store(enabled, std::memory_order_relaxed);
 }
 
 } // namespace beethoven

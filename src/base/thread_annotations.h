@@ -2,12 +2,11 @@
  * @file
  * Clang thread-safety annotation macros (no-ops elsewhere).
  *
- * The simulator is single-threaded today, but ROADMAP item 2 shards
- * the SoC across threads. These macros let us state the ownership
- * contract now — which state belongs to the simulation thread — so
- * clang's -Wthread-safety analysis can check the sharded kernel
- * against the same declarations later. Under gcc (the default
- * toolchain) every macro expands to nothing.
+ * Each Simulator steps on exactly one thread; independent runs may
+ * share a process, one Simulator per thread. These macros state that
+ * ownership contract — which state belongs to the simulation thread —
+ * so clang's -Wthread-safety analysis can check it. Under gcc (the
+ * default toolchain) every macro expands to nothing.
  */
 
 #ifndef BEETHOVEN_BASE_THREAD_ANNOTATIONS_H
@@ -40,8 +39,9 @@ namespace beethoven
  * The simulation thread, modeled as a capability. Event-kernel state
  * (the wake wheel, the dirty-commit list, the tick cursor) is
  * GUARDED_BY this role; the public Simulator entry points assert it,
- * private phase helpers REQUIRE it. Today a process-wide token; the
- * sharded kernel will hold one per shard.
+ * private phase helpers REQUIRE it. One process-wide token stands for
+ * "the thread that owns this Simulator": state is never shared between
+ * Simulators, so every simulating thread holds it for its own.
  */
 class BTH_CAPABILITY("sim-thread") ThreadRole
 {

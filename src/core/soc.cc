@@ -149,11 +149,8 @@ AcceleratorSoc::AcceleratorSoc(AcceleratorConfig config,
     checkFit();
     buildPowerLedger();
 
-    // Static analysis of the elaborated simulation graph: stamp the
-    // candidate shard partition, register cross-module mutable state,
-    // then prove the wake/sleep contract (DESIGN.md §5d).
-    assignShards();
-    registerSharedState();
+    // Static analysis of the elaborated simulation graph: prove the
+    // wake/sleep contract (DESIGN.md §5d).
     validateGraph();
 }
 
@@ -387,228 +384,6 @@ AcceleratorSoc::buildPowerLedger()
                 []() { return 0.0; });
 
     _sim.setPowerLedger(_power.get());
-}
-
-void
-AcceleratorSoc::assignShards()
-{
-    SimGraphRecord &rec = _sim.graphRecord();
-
-    // Candidate partition at the NoC/AXI boundaries: one host shard
-    // (MMIO front-end and command pump), one shard per SLR (cores and
-    // their memory endpoints), one memory shard (DRAM controller and
-    // the return pumps). ids: host = 0, SLR s = 1 + s, mem = last.
-    const int host_shard = 0;
-    const unsigned n_slrs = static_cast<unsigned>(_floorplan->numSlrs());
-    const int mem_shard = static_cast<int>(n_slrs) + 1;
-    rec.defineShard(host_shard, "host");
-    for (unsigned s = 0; s < n_slrs; ++s)
-        rec.defineShard(1 + static_cast<int>(s),
-                        "slr" + std::to_string(s));
-    rec.defineShard(mem_shard, "mem");
-
-    rec.setShard(_mmio.get(), host_shard);
-    rec.setShard(_cmdPump.get(), host_shard);
-    rec.setShard(_nocProbe.get(), host_shard);
-
-    rec.setShard(_dram.get(), mem_shard);
-    if (_rPump)
-        rec.setShard(_rPump.get(), mem_shard);
-    if (_bPump)
-        rec.setShard(_bPump.get(), mem_shard);
-
-    // Cores and their scratchpads go with the SLR placement decided.
-    for (std::size_t flat = 0; flat < _contexts.size(); ++flat) {
-        const CoreContext &ctx = _contexts[flat];
-        const int shard =
-            1 + static_cast<int>(_coreSlr[ctx.systemId][ctx.coreIdx]);
-        rec.setShard(_cores[flat].get(), shard);
-        for (const auto &kv : ctx.scratchpads)
-            rec.setShard(kv.second, shard);
-    }
-
-    // Memory endpoints: _readers / _writers were pushed in plan order.
-    for (std::size_t i = 0; i < _readers.size(); ++i)
-        rec.setShard(_readers[i].get(),
-                     1 + static_cast<int>(_readPlans[i].slr));
-    for (std::size_t i = 0; i < _writers.size(); ++i)
-        rec.setShard(_writers[i].get(),
-                     1 + static_cast<int>(_writePlans[i].slr));
-
-    // NoC tree nodes carry their own SLR; the root sits on the shard
-    // of whatever is on its far side (DRAM for the memory fabric, the
-    // MMIO front-end for the command fabric) because that is where its
-    // port is serviced.
-    auto assign_tree = [&rec](const auto &tree, int root_shard) {
-        tree.visitNodes(
-            [&rec, root_shard](Module &m, unsigned slr, bool is_root) {
-                rec.setShard(&m, is_root ? root_shard
-                                         : 1 + static_cast<int>(slr));
-            });
-    };
-    if (_arTree)
-        assign_tree(*_arTree, mem_shard);
-    if (_rTree)
-        assign_tree(*_rTree, mem_shard);
-    if (_wTree)
-        assign_tree(*_wTree, mem_shard);
-    if (_bTree)
-        assign_tree(*_bTree, mem_shard);
-    assign_tree(*_cmdTree, host_shard);
-    assign_tree(*_respTree, host_shard);
-    // (Intra-core bridges were stamped at creation in
-    // wireIntraCorePorts, where their source core's SLR was in scope.)
-}
-
-void
-AcceleratorSoc::registerSharedState()
-{
-    SimGraphRecord &rec = _sim.graphRecord();
-    const int host_shard = 0;
-
-    auto tree_modules = [](const auto &tree) {
-        std::vector<Module *> mods;
-        tree.visitNodes(
-            [&mods](Module &m, unsigned, bool) { mods.push_back(&m); });
-        return mods;
-    };
-
-    // Trace occupancy pulls: buildTraceProbe hooked closures that walk
-    // every tree's link occupancy from the probe's (host-side) sampler.
-    auto add_trace_state = [&](const std::string &track,
-                               const auto &tree) {
-        SimGraphRecord::SharedState st;
-        st.name = "trace." + track;
-        st.kind = "trace";
-        st.site = std::source_location::current();
-        st.accessors = tree_modules(tree);
-        st.accessors.push_back(_nocProbe.get());
-        st.resolution =
-            "occupancy pulls only run while a TraceSink is attached; "
-            "the parallel kernel refuses to start with one";
-        rec.addSharedState(std::move(st));
-    };
-    if (_arTree)
-        add_trace_state("noc.ar", *_arTree);
-    if (_rTree)
-        add_trace_state("noc.r", *_rTree);
-    if (_wTree)
-        add_trace_state("noc.w", *_wTree);
-    if (_bTree)
-        add_trace_state("noc.b", *_bTree);
-    add_trace_state("noc.cmd", *_cmdTree);
-    add_trace_state("noc.resp", *_respTree);
-
-    // Power-ledger pull closures (buildPowerLedger): per-core energy
-    // reads core/scratchpad/reader/writer counters; the ledger itself
-    // is polled from the host side, hence the extra host shard.
-    for (std::size_t flat = 0; flat < _contexts.size(); ++flat) {
-        const CoreContext &ctx = _contexts[flat];
-        SimGraphRecord::SharedState st;
-        st.name = "power." + ctx.name;
-        st.kind = "power";
-        st.site = std::source_location::current();
-        st.accessors.push_back(_cores[flat].get());
-        for (const auto &kv : ctx.scratchpads)
-            st.accessors.push_back(kv.second);
-        for (const auto &kv : ctx.readers)
-            for (Reader *r : kv.second)
-                if (r != nullptr)
-                    st.accessors.push_back(r);
-        for (const auto &kv : ctx.writers)
-            for (Writer *w : kv.second)
-                if (w != nullptr)
-                    st.accessors.push_back(w);
-        st.extraShards.push_back(host_shard);
-        st.resolution =
-            "energy pulls only run from an attached PowerMeter's "
-            "sampler; the parallel kernel refuses to start with one";
-        rec.addSharedState(std::move(st));
-    }
-    {
-        SimGraphRecord::SharedState st;
-        st.name = "power.ddr";
-        st.kind = "power";
-        st.site = std::source_location::current();
-        st.accessors.push_back(_dram.get());
-        st.extraShards.push_back(host_shard);
-        st.resolution =
-            "energy pulls only run from an attached PowerMeter's "
-            "sampler; the parallel kernel refuses to start with one";
-        rec.addSharedState(std::move(st));
-    }
-    {
-        // The per-SLR NoC components all pull nocFlits(), which reads
-        // the hop counters of every tree: one state, many accessors.
-        SimGraphRecord::SharedState st;
-        st.name = "power.noc";
-        st.kind = "power";
-        st.site = std::source_location::current();
-        auto add_tree = [&st, &tree_modules](const auto &tree) {
-            for (Module *m : tree_modules(tree))
-                st.accessors.push_back(m);
-        };
-        if (_arTree)
-            add_tree(*_arTree);
-        if (_rTree)
-            add_tree(*_rTree);
-        if (_wTree)
-            add_tree(*_wTree);
-        if (_bTree)
-            add_tree(*_bTree);
-        add_tree(*_cmdTree);
-        add_tree(*_respTree);
-        st.extraShards.push_back(host_shard);
-        st.resolution =
-            "nocFlits() sums node-local counters and is only pulled "
-            "from an attached PowerMeter's sampler; the parallel "
-            "kernel refuses to start with one";
-        rec.addSharedState(std::move(st));
-    }
-    {
-        SimGraphRecord::SharedState st;
-        st.name = "power.mmio";
-        st.kind = "power";
-        st.site = std::source_location::current();
-        st.accessors.push_back(_mmio.get());
-        st.extraShards.push_back(host_shard);
-        st.resolution =
-            "energy pulls only run from an attached PowerMeter's "
-            "sampler; the parallel kernel refuses to start with one";
-        rec.addSharedState(std::move(st));
-    }
-
-    // Host DMA and the DRAM model share the functional backing store.
-    {
-        SimGraphRecord::SharedState st;
-        st.name = "mem.functional";
-        st.kind = "dram-map";
-        st.site = std::source_location::current();
-        st.accessors.push_back(_dram.get());
-        st.extraShards.push_back(host_shard);
-        st.resolution =
-            "host-link DMA raises a serial fence "
-            "(HostInterface::hasPendingDma); the coordinator steps "
-            "merged single cycles until the transfer lands, so the "
-            "backing store is never written concurrently with DRAM "
-            "traffic";
-        rec.addSharedState(std::move(st));
-    }
-
-    // Hang dumpers walk the DRAM in-flight per-ID maps from whatever
-    // thread trips the watchdog.
-    {
-        SimGraphRecord::SharedState st;
-        st.name = "ddr.in-flight";
-        st.kind = "dram-map";
-        st.site = std::source_location::current();
-        st.accessors.push_back(_dram.get());
-        st.extraShards.push_back(host_shard);
-        st.resolution =
-            "hang dumpers only walk the maps after the watchdog trips "
-            "at an epoch barrier, when every worker is parked";
-        rec.addSharedState(std::move(st));
-    }
 }
 
 void
@@ -1019,10 +794,6 @@ AcceleratorSoc::wireIntraCorePorts()
                     }
                     _contexts[src_flat].intraOuts[pout.name].push_back(
                         &bridge->srcQueue());
-                    // Bridges live with their source core; _bridges
-                    // does not retain placement, so stamp it here.
-                    _sim.graphRecord().setShard(
-                        bridge.get(), 1 + static_cast<int>(_coreSlr[s][c]));
                     _bridges.push_back(std::move(bridge));
                 }
             }

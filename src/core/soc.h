@@ -156,10 +156,6 @@ class AcceleratorSoc
     void registerHangDumpers();
     void buildPowerLedger();
 
-    /** Stamp the candidate shard partition into the graph record. */
-    void assignShards();
-    /** Register cross-module mutable state for the shard audit. */
-    void registerSharedState();
     /** Constructor-tail graph analysis; fatal on contract errors. */
     void validateGraph();
 

@@ -100,15 +100,9 @@ diagnosticRegistry()
          "wake-armed queue"},
         {"BTH106", "graph", Severity::Error,
          "module census disagrees with the composition model"},
-        // --- shard layer (shard-readiness audit, §5d) --------------
-        {"BTH110", "shard", Severity::Warning,
-         "mutable state reachable from more than one shard"},
-        {"BTH111", "shard", Severity::Note,
-         "queue edges cross a shard boundary"},
-        {"BTH112", "shard", Severity::Warning,
-         "module not covered by the shard partition"},
-        {"BTH113", "shard", Severity::Note,
-         "cross-shard state resolved for the parallel kernel"},
+        // The BTH11x block belonged to the retired shard-readiness
+        // audit; its codes stay unassigned so old reports never
+        // change meaning.
     };
     return registry;
 }

@@ -46,7 +46,7 @@ struct DiagnosticCodeInfo
 {
     const char *code;
     const char *layer; ///< config | memory | axi | noc | placement
-                       ///< | graph | shard (BTH1xx, src/analysis/)
+                       ///< | graph (BTH1xx, src/analysis/)
     Severity severity; ///< severity this code is emitted with
     const char *summary;
 };

@@ -18,9 +18,6 @@ HostInterface::HostInterface(Simulator &sim, std::string name,
 void
 HostInterface::enqueue(HostOp op)
 {
-    if (op.kind == HostOp::Kind::DmaToDevice ||
-        op.kind == HostOp::Kind::DmaFromDevice)
-        ++_pendingDma;
     _queue.push_back(std::move(op));
 }
 
@@ -56,11 +53,9 @@ HostInterface::perform(HostOp &op)
         break;
       case HostOp::Kind::DmaToDevice:
         _mem.write(op.devAddr, op.len, op.hostSrc);
-        --_pendingDma;
         break;
       case HostOp::Kind::DmaFromDevice:
         _mem.read(op.devAddr, op.len, op.hostDst);
-        --_pendingDma;
         break;
     }
     if (op.done)

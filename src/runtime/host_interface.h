@@ -57,14 +57,6 @@ class HostInterface : public Module
         return _queue.size() + (_inFlight ? 1 : 0);
     }
 
-    /**
-     * True while any queued or in-flight operation is a DMA transfer.
-     * DMA writes the functional memory the DRAM model also reads, so
-     * the parallel kernel serial-fences on this predicate and steps
-     * merged single cycles until the transfer completes.
-     */
-    bool hasPendingDma() const { return _pendingDma != 0; }
-
     /** Total cycles the link spent busy (for utilization stats). */
     u64 busyCycles() const { return _busyCycles; }
 
@@ -83,7 +75,6 @@ class HostInterface : public Module
     HostOp _current;
     Cycle _completesAt = 0;
     u64 _busyCycles = 0;
-    unsigned _pendingDma = 0;
 };
 
 } // namespace beethoven

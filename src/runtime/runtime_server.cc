@@ -9,14 +9,6 @@ RuntimeServer::RuntimeServer(AcceleratorSoc &soc) : _soc(soc)
 {
     _hostIf = std::make_unique<HostInterface>(
         soc.sim(), "host", soc.mmio(), soc.memory(), soc.platform());
-    // The host link services MMIO on the host shard (id 0, the
-    // convention assignShards establishes). Its DMA transfers write
-    // the functional memory the DRAM model reads on the mem shard, so
-    // the parallel kernel must step merged single cycles while one is
-    // pending; the fence predicate makes that window explicit.
-    soc.sim().graphRecord().setShard(_hostIf.get(), 0);
-    soc.sim().addSerialFence(
-        [hi = _hostIf.get()] { return hi->hasPendingDma(); });
     // Reserve address 0 so user code can treat 0 as "null".
     const Addr base = 4096;
     _allocator = std::make_unique<DeviceAllocator>(

@@ -9,7 +9,7 @@ namespace
 {
 
 /// Countdown for the planted missing-push-wake; 0 means disarmed.
-u64 g_plantMissingPushWake = 0;
+thread_local u64 g_plantMissingPushWake = 0;
 
 } // namespace
 
@@ -63,36 +63,6 @@ SourceSite::str() const
     if (file == nullptr)
         return "";
     return trimSourcePath(file) + ":" + std::to_string(line);
-}
-
-SimGraphRecord::SimGraphRecord()
-{
-    // Kernel-owned mutable state that every shard touches by
-    // construction: the wake wheel (any module may wake any other) and
-    // the process-global KPI tick counters. Registered up front so the
-    // shard-readiness audit can never report a sharded kernel as free
-    // of shared state.
-    SharedState wheel;
-    wheel.name = "sim.wake-wheel";
-    wheel.kind = "sim";
-    wheel.site = std::source_location::current();
-    wheel.spansAllShards = true;
-    wheel.resolution =
-        "the parallel kernel replaces the global wheel with one wake "
-        "wheel per execution group; cross-group wakes are armed by the "
-        "coordinator at epoch barriers";
-    _shared.push_back(std::move(wheel));
-
-    SharedState kpi;
-    kpi.name = "sim.kpi-counters";
-    kpi.kind = "sim";
-    kpi.site = std::source_location::current();
-    kpi.spansAllShards = true;
-    kpi.resolution =
-        "groups count ticks into their ShardContext; the coordinator "
-        "folds them into the process-global KPI counters at epoch "
-        "barriers";
-    _shared.push_back(std::move(kpi));
 }
 
 SimGraphRecord::ModuleInfo &
@@ -154,19 +124,12 @@ SimGraphRecord::setSelfWake(Module *m, SourceSite site)
 }
 
 void
-SimGraphRecord::setShard(Module *m, int shard)
-{
-    infoFor(m).shard = shard;
-}
-
-void
-SimGraphRecord::registerQueue(Committable *q, std::size_t capacity,
+SimGraphRecord::registerQueue(const void *q, std::size_t capacity,
                               unsigned latency, SourceSite site)
 {
     QueueEdge &e = edgeFor(q);
     e = QueueEdge{};
     e.queue = q;
-    e.object = q;
     e.capacity = capacity;
     e.latency = latency;
     e.site = site;
@@ -213,30 +176,6 @@ SimGraphRecord::declareProducer(const void *q, Module *producer,
     QueueEdge &e = edgeFor(q);
     e.producer = producer;
     e.producerSite = site;
-}
-
-void
-SimGraphRecord::defineShard(int id, std::string name)
-{
-    _shards.push_back(Shard{id, std::move(name)});
-}
-
-void
-SimGraphRecord::addSharedState(SharedState state)
-{
-    _shared.push_back(std::move(state));
-}
-
-void
-SimGraphRecord::resolveSharedState(const std::string &name,
-                                   std::string how)
-{
-    for (SharedState &st : _shared) {
-        if (st.name == name) {
-            st.resolution = std::move(how);
-            return;
-        }
-    }
 }
 
 } // namespace beethoven

@@ -30,38 +30,7 @@ namespace beethoven
 
 class Simulator;
 class StallAccount;
-class ParallelRuntime;
 enum class StallClass : unsigned char;
-
-class Module;
-
-/**
- * Barrier-time services the parallel kernel offers a split-mode queue
- * while it drains the queue's epoch mailbox (src/sim/parallel.h). All
- * calls happen on the coordinator thread with every worker parked.
- */
-class SplitDrainHost
-{
-  public:
-    virtual ~SplitDrainHost() = default;
-
-    /** The epoch boundary being committed (the next epoch's start). */
-    virtual Cycle barrierCycle() const = 0;
-
-    /**
-     * Wake @p m at cycle @p at (>= barrierCycle()): immediately when
-     * @p at is the barrier cycle itself, else via @p m's group wheel.
-     */
-    virtual void armWake(Module *m, Cycle at) = 0;
-
-    /**
-     * Report the queue's free space as of this barrier. The next
-     * epoch's length is capped to the minimum slack over all split
-     * queues, so a producer can never observe a stale "full" (or miss
-     * a real one) between barriers.
-     */
-    virtual void noteSlack(std::size_t slack) = 0;
-};
 
 /** Anything with per-cycle end-of-cycle state publication. */
 class Committable
@@ -71,19 +40,6 @@ class Committable
 
     /** Publish state staged during this cycle's tick phase. */
     virtual void commit() = 0;
-
-    /**
-     * Switch this committable into cross-group split mode (parallel
-     * kernel): pushes stage into an epoch mailbox on the producer's
-     * thread, pops run against delivered entries on the consumer's
-     * thread, and the coordinator exchanges both at barriers via
-     * drainSplit(). @return false when unsupported (the parallel
-     * kernel then refuses to elaborate).
-     */
-    virtual bool enterSplitMode() { return false; }
-
-    /** Barrier-time mailbox exchange; see SplitDrainHost. */
-    virtual void drainSplit(SplitDrainHost &) {}
 };
 
 /**
@@ -163,7 +119,6 @@ class Module
 
   private:
     friend class Simulator;
-    friend class ParallelRuntime;
 
     Simulator &_sim;
     std::string _name;

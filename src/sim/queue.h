@@ -122,24 +122,6 @@ class TimedQueue : public Committable
     push(T value)
     {
         beethoven_assert(canPush(), "push to full queue");
-        if (_split) {
-            // Cross-group epoch mailbox (parallel kernel): the push is
-            // held on the producer's thread, stamped with its cycle,
-            // and delivered by the coordinator at the next barrier with
-            // the same push-cycle + latency visibility the serial
-            // commit would have produced. The producer-side mirror
-            // occupancy grows immediately, exactly like a staged
-            // _pending entry would under occupancy().
-            const Cycle now = _sim.cycle();
-            beethoven_assert(_mailbox.empty() ||
-                                 _mailbox.back().pushedAt != now,
-                             "split queue pushed twice in one cycle: "
-                             "epoch slack accounting assumes <= 1 "
-                             "push per cycle");
-            _mailbox.push_back(MailboxEntry{now, std::move(value)});
-            ++_mirror;
-            return;
-        }
         _pending.push_back(std::move(value));
         if (_wakeOnPush != nullptr) {
             _sim.wakeNow(_wakeOnPush);
@@ -173,13 +155,6 @@ class TimedQueue : public Committable
         beethoven_assert(canPop(), "pop() on empty queue");
         T v = std::move(_entries.front().value);
         _entries.pop_front();
-        if (_split) {
-            // Pop credits cross back to the producer's mirror at the
-            // barrier; the epoch length is slack-capped so the delay
-            // can never turn into a falsely-full canPush().
-            ++_popsThisEpoch;
-            return v;
-        }
         ++_popsThisCycle;
         if (_wakeOnPop != nullptr)
             _sim.wakeAt(_wakeOnPop, _sim.cycle() + 1);
@@ -191,13 +166,6 @@ class TimedQueue : public Committable
     std::size_t
     occupancy() const
     {
-        if (_split) {
-            // Producer-side view: committed entries as of the last
-            // barrier plus this epoch's own pushes. Consumers of a
-            // split queue must not read occupancy mid-epoch (none in
-            // the tree/core fabric do); at barriers both views agree.
-            return _mirror;
-        }
         return _entries.size() + _pending.size() + _popsThisCycle;
     }
 
@@ -230,63 +198,10 @@ class TimedQueue : public Committable
         _dirty = false;
     }
 
-    bool
-    enterSplitMode() override
-    {
-        beethoven_assert(_pending.empty() && _popsThisCycle == 0,
-                         "split-mode entry with staged queue state");
-        // Seed the producer mirror with the committed occupancy.
-        _mirror = _entries.size();
-        _split = true;
-        return true;
-    }
-
-    void
-    drainSplit(SplitDrainHost &host) override
-    {
-        const Cycle barrier = host.barrierCycle();
-        for (MailboxEntry &e : _mailbox) {
-            // Identical visibility to the serial commit: pushed at C,
-            // poppable at C + latency. Epochs never exceed the minimum
-            // cross-group latency, so C + latency >= barrier and the
-            // consumer cannot have missed it.
-            const Cycle ready_at = e.pushedAt + _latency;
-            beethoven_assert(ready_at >= barrier,
-                             "split push delivered late (epoch longer "
-                             "than queue latency)");
-            _entries.push_back(Entry{ready_at, std::move(e.value)});
-            if (_wakeOnPush != nullptr)
-                host.armWake(_wakeOnPush, ready_at);
-        }
-        _mailbox.clear();
-        if (_popsThisEpoch != 0) {
-            beethoven_assert(_mirror >= _popsThisEpoch,
-                             "split queue popped more than it held");
-            _mirror -= _popsThisEpoch;
-            _popsThisEpoch = 0;
-            // The serial kernel wakes the producer at pop-cycle + 1;
-            // that cycle is at or before the barrier, and a blocked
-            // producer only ever needs the wake once space is visible
-            // to it — which is exactly now.
-            if (_wakeOnPop != nullptr)
-                host.armWake(_wakeOnPop, barrier);
-        }
-        beethoven_assert(_mirror == _entries.size(),
-                         "split mirror out of sync at barrier");
-        host.noteSlack(_capacity - std::min(_capacity, _mirror));
-    }
-
   private:
     struct Entry
     {
         Cycle readyAt;
-        T value;
-    };
-
-    /** One cross-group push parked until the next barrier. */
-    struct MailboxEntry
-    {
-        Cycle pushedAt;
         T value;
     };
 
@@ -309,15 +224,6 @@ class TimedQueue : public Committable
     Module *_wakeOnPush = nullptr;
     Module *_wakeOnPop = nullptr;
     bool _dirty = false;
-
-    // Cross-group split mode (parallel kernel). During an epoch the
-    // producer thread touches only {_mailbox, _mirror}, the consumer
-    // thread only {_entries, _popsThisEpoch}; the coordinator exchanges
-    // them in drainSplit() while both are parked at the barrier.
-    bool _split = false;
-    std::vector<MailboxEntry> _mailbox;
-    std::size_t _mirror = 0;
-    std::size_t _popsThisEpoch = 0;
 };
 
 } // namespace beethoven

@@ -6,7 +6,6 @@
 #include "perf/host_clock.h"
 #include "perf/host_profiler.h"
 #include "power/power.h"
-#include "sim/parallel.h"
 #include "trace/stall.h"
 #include "trace/trace.h"
 
@@ -16,21 +15,16 @@ namespace beethoven
 namespace
 {
 
-// Process-wide KPI counters (see globalSimCycles in simulator.h).
-// Written by the simulation thread only — under the parallel kernel
-// that is the epoch coordinator, which folds worker tick counts in at
-// barriers via detail::addGlobalSimKpi.
-u64 g_simCycles = 0;
-u64 g_moduleTicks = 0;
+// Per-thread KPI counters (see globalSimCycles in simulator.h): a
+// Simulator only ever steps on one thread, so runs on different
+// threads never share them.
+thread_local u64 g_simCycles = 0;
+thread_local u64 g_moduleTicks = 0;
 
 } // namespace
 
-// The serial simulation thread's role (see base/thread_annotations.h).
-// The parallel kernel partitions state into per-group ShardContexts
-// instead; gShardContext selects the executing thread's view.
+// The simulation thread's role (see base/thread_annotations.h).
 ThreadRole gSimThreadRole;
-
-thread_local ShardContext *gShardContext = nullptr;
 
 u64
 globalSimCycles()
@@ -43,18 +37,6 @@ globalModuleTicks()
 {
     return g_moduleTicks;
 }
-
-namespace detail
-{
-
-void
-addGlobalSimKpi(u64 cycles, u64 ticks)
-{
-    g_simCycles += cycles;
-    g_moduleTicks += ticks;
-}
-
-} // namespace detail
 
 Simulator::Simulator() = default;
 Simulator::~Simulator() = default;
@@ -122,8 +104,6 @@ simKernelName(SimKernel k)
     switch (k) {
     case SimKernel::Event:
         return "event";
-    case SimKernel::Parallel:
-        return "parallel";
     case SimKernel::Tick:
         break;
     }
@@ -134,11 +114,8 @@ void
 Simulator::setKernel(SimKernel k)
 {
     gSimThreadRole.assertHeld();
-    beethoven_assert(_parallel == nullptr || k == SimKernel::Parallel,
-                     "cannot switch kernels after the parallel runtime "
-                     "partitioned the graph and split its queues");
     _kernel = k;
-    if (k != SimKernel::Tick) {
+    if (k == SimKernel::Event) {
         // Conservative start: everything awake, quiescence re-forms as
         // modules discover they have nothing to do. Stale wheel entries
         // from an earlier event phase only cause spurious wakes.
@@ -154,19 +131,6 @@ Simulator::wakeNow(Module *m)
     gSimThreadRole.assertHeld();
     if (_kernel == SimKernel::Tick || m->_awake)
         return;
-    if (_kernel == SimKernel::Parallel) {
-        if (ShardContext *ctx = gShardContext) {
-            if (ctx->inTick && m->_index <= ctx->cursor)
-                scheduleWakeCtx(*ctx, m, ctx->cycle + 1);
-            else
-                m->_awake = true;
-        } else {
-            // Main thread between runs, or the coordinator at a
-            // barrier: no tick is in flight, wake in place.
-            m->_awake = true;
-        }
-        return;
-    }
     if (_inTickPhase && m->_index <= _cursor) {
         // The module already ticked this cycle (or is mid-tick): the
         // earliest it could observe the event under the tick kernel is
@@ -183,28 +147,6 @@ Simulator::wakeAt(Module *m, Cycle at)
     gSimThreadRole.assertHeld();
     if (_kernel == SimKernel::Tick)
         return;
-    if (_kernel == SimKernel::Parallel) {
-        if (ShardContext *ctx = gShardContext) {
-            if (at <= ctx->cycle) {
-                wakeNow(m);
-                return;
-            }
-            scheduleWakeCtx(*ctx, m, at);
-        } else if (_parallel != nullptr) {
-            if (at <= _cycle)
-                m->_awake = true;
-            else
-                _parallel->armWakeOutside(m, at);
-        } else {
-            // Parallel selected but not yet prepared: arm on the
-            // global wheel; prepare migrates it to the owning group.
-            if (at <= _cycle)
-                m->_awake = true;
-            else
-                scheduleWake(m, at);
-        }
-        return;
-    }
     if (at <= _cycle) {
         wakeNow(m);
         return;
@@ -224,21 +166,6 @@ Simulator::scheduleWake(Module *m, Cycle at)
         return; // planted fault: this wake is silently lost
     }
     _wheel.schedule(_cycle, at, m);
-}
-
-void
-Simulator::scheduleWakeCtx(ShardContext &ctx, Module *m, Cycle at)
-{
-    gSimThreadRole.assertHeld();
-    if (m->_lastScheduledWake == at)
-        return;
-    m->_lastScheduledWake = at;
-    ++ctx.scheduledWakes;
-    if (_plantLostWakePeriod != 0 &&
-        ctx.scheduledWakes % _plantLostWakePeriod == 0) {
-        return; // planted fault: this wake is silently lost
-    }
-    ctx.wheel.schedule(ctx.cycle, at, m);
 }
 
 std::size_t
@@ -325,20 +252,13 @@ std::size_t
 Simulator::pendingWakes() const
 {
     gSimThreadRole.assertHeld();
-    std::size_t n = _wheel.pending();
-    if (_parallel != nullptr)
-        n += _parallel->pendingGroupWakes();
-    return n;
+    return _wheel.pending();
 }
 
 void
 Simulator::step()
 {
     gSimThreadRole.assertHeld();
-    if (_kernel == SimKernel::Parallel) {
-        parallelRun(1);
-        return;
-    }
     // KPI-only profiling (the bare --perf-json heartbeat) never reads
     // per-module clocks, so it composes with the event kernel: advance
     // the heartbeat and take the quiescence-aware step. Sampling and
@@ -385,10 +305,6 @@ Simulator::step()
 void
 Simulator::run(Cycle n)
 {
-    if (_kernel == SimKernel::Parallel) {
-        parallelRun(n);
-        return;
-    }
     for (Cycle i = 0; i < n; ++i)
         step();
 }

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "base/stats.h"
@@ -26,24 +25,17 @@ class StallAccount;
 class HostProfiler;
 class PowerLedger;
 class PowerMeter;
-class ParallelRuntime;
 
 /**
- * Simulated cycles stepped by every Simulator in this process since
- * start; the numerator of the cycles-per-second KPI (--perf-json).
- * Plain counters: only the simulation thread (the epoch coordinator,
- * under the parallel kernel) writes them.
+ * Simulated cycles stepped by every Simulator on the calling thread
+ * since it started; the numerator of the cycles-per-second KPI
+ * (--perf-json). Thread-local, so runs on different threads count
+ * independently: read it on the thread that simulates.
  */
 u64 globalSimCycles();
 
-/** Module ticks executed process-wide (cycles weighted by SoC size). */
+/** Module ticks executed on the calling thread (cycles x SoC size). */
 u64 globalModuleTicks();
-
-namespace detail
-{
-/** KPI counter advance from the parallel-kernel epoch coordinator. */
-void addGlobalSimKpi(u64 cycles, u64 ticks);
-} // namespace detail
 
 /**
  * A live correctness invariant checked while the simulation runs.
@@ -70,57 +62,18 @@ class Invariant
 /**
  * Which step() implementation clocks the SoC (see DESIGN.md §3/§4a).
  *
- * All kernels step cycle-by-cycle and produce bit-identical results;
- * the event kernel skips the tick of every quiescent module, and the
- * parallel kernel additionally runs one event loop per execution group
- * on its own worker thread, synchronizing at epoch boundaries sized by
- * the minimum cross-group queue latency. Tick remains the reference
- * kernel the differential harness compares against.
+ * Both kernels step cycle-by-cycle and produce bit-identical results;
+ * the event kernel skips the tick of every quiescent module. Tick
+ * remains the reference kernel the differential harness compares
+ * against.
  */
 enum class SimKernel
 {
-    Tick,    ///< tick every module every cycle (the naive reference)
-    Event,   ///< tick only awake modules; sleepers wait on the wake wheel
-    Parallel ///< per-group event loops on worker threads, epoch-synced
+    Tick, ///< tick every module every cycle (the naive reference)
+    Event ///< tick only awake modules; sleepers wait on the wake wheel
 };
 
 const char *simKernelName(SimKernel k);
-
-/**
- * Per-execution-group kernel state for the parallel kernel. Each group
- * of shards (src/sim/parallel.h) runs the PR 8 event loop against its
- * own context; gShardContext points at it on the owning worker thread
- * (and, during serial-fence merged stepping, on the coordinator while
- * it ticks that group's modules). All fields are owned by one thread at
- * a time — the worker during an epoch, the coordinator at barriers —
- * with the epoch barrier providing the happens-before edge.
- */
-struct ShardContext
-{
-    /** Completed cycles; mid-epoch, the cycle currently ticking. */
-    Cycle cycle = 0;
-    WakeWheel wheel;
-    std::vector<Committable *> dirtyCommits;
-    bool inTick = false;
-    /** Global Module::index() of the module currently ticking. */
-    std::size_t cursor = 0;
-    /** This group's modules, ascending global index (= tick order). */
-    std::vector<Module *> modules;
-    /** Module ticks accrued this epoch; folded at the barrier. */
-    u64 ticks = 0;
-    Cycle lastProgress = 0;
-    /** Per-group planted-fault counter (see plantLostWakes). */
-    u64 scheduledWakes = 0;
-    int group = -1;
-};
-
-/**
- * The executing thread's shard context: null on the main thread and on
- * every thread of a serial-kernel process; set on parallel workers for
- * their lifetime and on the coordinator per-module during merged
- * (serial-fence) stepping.
- */
-extern thread_local ShardContext *gShardContext;
 
 /**
  * Clocks registered Modules and commits registered Committables.
@@ -174,60 +127,23 @@ class Simulator
      */
     bool runUntil(const std::function<bool()> &done, Cycle max_cycles);
 
-    /**
-     * Current cycle (number of completed steps). Under the parallel
-     * kernel a worker thread sees its own group's cycle mid-epoch;
-     * everyone else sees the barrier-synchronized global count.
-     */
-    Cycle
-    cycle() const
-    {
-        if (_kernel == SimKernel::Parallel) {
-            if (const ShardContext *ctx = gShardContext)
-                return ctx->cycle;
-        }
-        return _cycle;
-    }
+    /** Current cycle (number of completed steps). */
+    Cycle cycle() const { return _cycle; }
 
     /**
-     * Select the stepping kernel. Switching to Event or Parallel wakes
-     * every module (conservative: the first cycles re-establish
-     * quiescence); switching away discards pending dirty-commit
-     * tracking. Safe to call between steps only; switching away from
-     * Parallel after its first step is forbidden (worker threads and
-     * split queues cannot be unwound).
+     * Select the stepping kernel. Switching to Event wakes every
+     * module (conservative: the first cycles re-establish quiescence);
+     * switching away discards pending dirty-commit tracking. Safe to
+     * call between steps only.
      */
     void setKernel(SimKernel k);
     SimKernel kernel() const { return _kernel; }
 
     /**
-     * True for the kernels with quiescence semantics (event and
-     * parallel): sleep requests take effect and queues track dirty
-     * state for selective commit. False only under the tick kernel.
+     * True under the event kernel: sleep requests take effect and
+     * queues track dirty state for selective commit.
      */
-    bool eventKernel() const { return _kernel != SimKernel::Tick; }
-
-    /**
-     * Worker threads for the parallel kernel. 0 (the default) means
-     * one per execution group; values above the group count are
-     * clamped. Digests are independent of the thread count by
-     * construction. Set before the first parallel step.
-     */
-    void setParallelThreads(unsigned n) { _parallelThreads = n; }
-    unsigned parallelThreads() const { return _parallelThreads; }
-
-    /**
-     * Register a serial-fence predicate for the parallel kernel. While
-     * any fence returns true, the coordinator steps merged single
-     * cycles in global module order instead of running epochs — used
-     * for phases that legitimately touch cross-group state every cycle
-     * (e.g. host DMA writing functional memory that the DRAM model
-     * reads). Evaluated at barriers only.
-     */
-    void addSerialFence(std::function<bool()> fn)
-    {
-        _serialFences.push_back(std::move(fn));
-    }
+    bool eventKernel() const { return _kernel == SimKernel::Event; }
 
     /**
      * Register a callback that folds distributed counters (e.g.
@@ -268,22 +184,13 @@ class Simulator
     void markDirty(Committable *c)
     {
         gSimThreadRole.assertHeld();
-        if (_kernel == SimKernel::Parallel) {
-            if (ShardContext *ctx = gShardContext) {
-                ctx->dirtyCommits.push_back(c);
-                return;
-            }
-        }
         _dirtyCommits.push_back(c);
     }
 
     /** Modules awake right now (the event kernel's active set size). */
     std::size_t activeModules() const;
 
-    /**
-     * Wakes armed and not yet delivered (global wheel plus, under the
-     * parallel kernel, every group wheel; barrier-time view only).
-     */
+    /** Wakes armed on the wheel and not yet delivered. */
     std::size_t pendingWakes() const;
 
     /**
@@ -319,17 +226,7 @@ class Simulator
      * StallAccount on Busy classifications; uninstrumented modules that
      * do real work may also call it directly.
      */
-    void
-    noteProgress()
-    {
-        if (_kernel == SimKernel::Parallel) {
-            if (ShardContext *ctx = gShardContext) {
-                ctx->lastProgress = ctx->cycle;
-                return;
-            }
-        }
-        _lastProgress = _cycle;
-    }
+    void noteProgress() { _lastProgress = _cycle; }
 
     /**
      * Arm the hang watchdog: if no module reports progress for more
@@ -433,19 +330,7 @@ class Simulator
 
     std::size_t numModules() const { return _modules.size(); }
 
-    /**
-     * The parallel-kernel runtime once the first parallel step has
-     * prepared it; nullptr before that and under the serial kernels.
-     * Introspection only (tests, telemetry).
-     */
-    const ParallelRuntime *parallelRuntime() const;
-
   private:
-    friend class ParallelRuntime;
-
-    /** Parallel-kernel dispatch target of step()/run(). */
-    void parallelRun(Cycle n);
-
     /** Tick+commit with per-phase host-time attribution. */
     void stepPhasesProfiled() BTH_REQUIRES(gSimThreadRole);
 
@@ -454,9 +339,6 @@ class Simulator
 
     /** Wheel-arm a wake with dedup and planted-fault accounting. */
     void scheduleWake(Module *m, Cycle at) BTH_REQUIRES(gSimThreadRole);
-
-    /** Group-wheel variant for the parallel kernel's worker threads. */
-    void scheduleWakeCtx(ShardContext &ctx, Module *m, Cycle at);
 
     Cycle _cycle = 0;
     SimKernel _kernel = SimKernel::Tick;
@@ -482,13 +364,6 @@ class Simulator
     Cycle _lastProgress = 0;
     std::vector<std::function<void(std::ostream &)>> _hangDumpers;
     std::vector<Invariant *> _invariants;
-
-    /** Parallel-kernel runtime; created lazily at the first parallel
-     *  step so post-elaboration modules (e.g. the host interface) are
-     *  registered before the graph is partitioned. */
-    std::unique_ptr<ParallelRuntime> _parallel;
-    unsigned _parallelThreads = 0; ///< 0 = one per execution group
-    std::vector<std::function<bool()>> _serialFences;
     std::vector<std::function<void()>> _statFolders;
 
     /**

@@ -80,27 +80,6 @@ class WakeWheel
         }
     }
 
-    /**
-     * Move every armed wake out of the wheel via @p fn(at, Module*),
-     * leaving it empty. The parallel kernel uses this once at prepare
-     * time to migrate elaboration-era wakes (e.g. DRAM refresh timers)
-     * from the global wheel into the owning group's wheel.
-     */
-    template <typename Fn>
-    void
-    extractAll(Fn &&fn) BTH_REQUIRES(gSimThreadRole)
-    {
-        for (auto &slot : _slots) {
-            for (const Entry &e : slot)
-                fn(e.at, e.m);
-            slot.clear();
-        }
-        while (!_far.empty()) {
-            fn(_far.top().at, _far.top().m);
-            _far.pop();
-        }
-    }
-
     /** Armed wakes not yet delivered (spurious duplicates included). */
     std::size_t
     pending() const BTH_REQUIRES(gSimThreadRole)

@@ -173,8 +173,6 @@ runFuzzCaseOnce(const FuzzCase &c, const FuzzOptions &opt,
         return res;
     }
     soc->sim().setKernel(kernel);
-    if (kernel == SimKernel::Parallel)
-        soc->sim().setParallelThreads(opt.parallelThreads);
     if (c.plantLostWake != 0)
         soc->sim().plantLostWakes(c.plantLostWake);
 
@@ -292,58 +290,43 @@ runFuzzCase(const FuzzCase &c, const FuzzOptions &opt)
     if (!opt.differential)
         return runFuzzCaseOnce(c, opt, opt.kernel);
 
-    // Differential mode: the tick kernel is the reference semantics;
-    // the event and parallel kernels are the optimizations under
-    // test. Any observable difference against the reference — outcome
-    // kind, final cycle, or a single byte of the stats digest — is a
-    // Divergence.
+    // Differential mode: the tick kernel is the reference semantics
+    // and the event kernel the optimization under test. Any observable
+    // difference — outcome kind, final cycle, or a single byte of the
+    // stats digest — is a Divergence.
     const FuzzResult tick = runFuzzCaseOnce(c, opt, SimKernel::Tick);
-    struct Candidate
-    {
-        const char *name;
-        SimKernel kernel;
-    };
-    static const Candidate candidates[] = {
-        {"event", SimKernel::Event},
-        {"parallel", SimKernel::Parallel},
-    };
-    for (const Candidate &cand : candidates) {
-        const FuzzResult got = runFuzzCaseOnce(c, opt, cand.kernel);
-        if (tick.kind == got.kind && tick.cycles == got.cycles &&
-            tick.statsDigest == got.statsDigest)
-            continue;
+    const FuzzResult event = runFuzzCaseOnce(c, opt, SimKernel::Event);
+    if (tick.kind == event.kind && tick.cycles == event.cycles &&
+        tick.statsDigest == event.statsDigest)
+        return tick;
 
-        FuzzResult res = got;
-        res.kind = FailKind::Divergence;
-        std::ostringstream os;
-        os << "tick/" << cand.name << " kernels diverged:";
-        if (tick.kind != got.kind) {
-            os << " kind " << failKindName(tick.kind) << " vs "
-               << failKindName(got.kind);
-        }
-        if (tick.cycles != got.cycles) {
-            os << " cycles "
-               << static_cast<unsigned long long>(tick.cycles) << " vs "
-               << static_cast<unsigned long long>(got.cycles);
-        }
-        if (tick.statsDigest != got.statsDigest) {
-            const std::size_t at =
-                firstDiff(tick.statsDigest, got.statsDigest);
-            os << " stats digest first differs at byte " << at;
-            const std::string ctx =
-                tick.statsDigest.substr(at > 40 ? at - 40 : 0, 80);
-            os << " (tick context: ..." << ctx << "...)";
-        }
-        if (!tick.message.empty() || !got.message.empty()) {
-            os << "; tick: "
-               << (tick.message.empty() ? "ok" : tick.message)
-               << "; " << cand.name << ": "
-               << (got.message.empty() ? "ok" : got.message);
-        }
-        res.message = os.str();
-        return res;
+    FuzzResult res = event;
+    res.kind = FailKind::Divergence;
+    std::ostringstream os;
+    os << "tick/event kernels diverged:";
+    if (tick.kind != event.kind) {
+        os << " kind " << failKindName(tick.kind) << " vs "
+           << failKindName(event.kind);
     }
-    return tick;
+    if (tick.cycles != event.cycles) {
+        os << " cycles " << static_cast<unsigned long long>(tick.cycles)
+           << " vs " << static_cast<unsigned long long>(event.cycles);
+    }
+    if (tick.statsDigest != event.statsDigest) {
+        const std::size_t at =
+            firstDiff(tick.statsDigest, event.statsDigest);
+        os << " stats digest first differs at byte " << at;
+        const std::string ctx =
+            tick.statsDigest.substr(at > 40 ? at - 40 : 0, 80);
+        os << " (tick context: ..." << ctx << "...)";
+    }
+    if (!tick.message.empty() || !event.message.empty()) {
+        os << "; tick: " << (tick.message.empty() ? "ok" : tick.message)
+           << "; event: "
+           << (event.message.empty() ? "ok" : event.message);
+    }
+    res.message = os.str();
+    return res;
 }
 
 // --- Shrinking --------------------------------------------------------

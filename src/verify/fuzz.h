@@ -41,13 +41,11 @@ struct FuzzOptions
     Cycle maxCycles = 2'000'000;  ///< overall per-case cycle budget
     Cycle watchdogCycles = 50'000; ///< no-progress limit
     SimKernel kernel = SimKernel::Tick; ///< kernel for the single run
-    /** Run the case under all three kernels (tick as the reference,
-     *  then event and parallel) and compare outcome kind, final cycle
-     *  and the full stats digest; any difference is classified
-     *  FailKind::Divergence (and shrinks like any other kind). */
+    /** Run the case under both kernels (tick as the reference, then
+     *  event) and compare outcome kind, final cycle and the full stats
+     *  digest; any difference is classified FailKind::Divergence (and
+     *  shrinks like any other kind). */
     bool differential = false;
-    /** Worker threads for the parallel-kernel runs (0 = per group). */
-    unsigned parallelThreads = 2;
 };
 
 struct FuzzResult

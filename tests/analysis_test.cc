@@ -4,21 +4,17 @@
  * one positive and one negative case per BTH1xx code over hand-built
  * SimGraph IR, the graph lowering of a real elaborated SoC, the
  * planted-wake catch path (a lost-wake bug flagged WITHOUT running a
- * single cycle), the static/dynamic pairing with the differential fuzz
- * harness, and the shard-readiness report's content on the paper's
- * compositions.
+ * single cycle), and the static/dynamic pairing with the differential
+ * fuzz harness.
  */
 
 #include <gtest/gtest.h>
 
-#include "accel/machsuite/gemm.h"
-#include "accel/memcpy_core.h"
 #include "analysis/analyze.h"
 #include "analysis/sim_graph.h"
 #include "base/log.h"
 #include "core/soc.h"
 #include "lint/lint.h"
-#include "platform/aws_f1.h"
 #include "sim/graph_record.h"
 #include "verify/fuzz.h"
 #include "verify/random_soc.h"
@@ -31,10 +27,7 @@ namespace
 
 using analysis::GraphEdge;
 using analysis::GraphModule;
-using analysis::GraphShard;
-using analysis::GraphSharedState;
 using analysis::kNoIndex;
-using analysis::kNoShard;
 using analysis::SimGraph;
 using verify::FuzzCase;
 using verify::FuzzKind;
@@ -236,76 +229,6 @@ TEST(GraphRules, Bth105SilentOnNormalWiring)
     EXPECT_FALSE(analysis::analyzeGraph(pairGraph()).has("BTH105"));
 }
 
-// --- BTH110/BTH111/BTH112: shard-readiness audit -------------------
-
-SimGraph
-shardedGraph()
-{
-    SimGraph g = pairGraph();
-    g.shards = {{0, "host"}, {1, "mem"}};
-    g.modules[0].shard = 0;
-    g.modules[1].shard = 1;
-    return g;
-}
-
-TEST(ShardRules, Bth110FiresOnCrossShardStateAndSpansAll)
-{
-    SimGraph g = shardedGraph();
-    GraphSharedState st;
-    st.name = "stats.shared";
-    st.kind = "stat";
-    st.site = "tests/synthetic:5";
-    st.accessors = {0, 1};
-    g.sharedStates = {st};
-    EXPECT_TRUE(analysis::analyzeGraph(g).has("BTH110"));
-
-    GraphSharedState all;
-    all.name = "sim.global";
-    all.kind = "sim";
-    all.spansAllShards = true;
-    g.sharedStates = {all};
-    EXPECT_TRUE(analysis::analyzeGraph(g).has("BTH110"));
-}
-
-TEST(ShardRules, Bth110SilentForShardLocalStateOrNoPartition)
-{
-    SimGraph g = shardedGraph();
-    GraphSharedState st;
-    st.name = "stats.local";
-    st.kind = "stat";
-    st.accessors = {0}; // one shard only
-    g.sharedStates = {st};
-    EXPECT_FALSE(analysis::analyzeGraph(g).has("BTH110"));
-
-    // No partition defined: nothing to audit.
-    SimGraph g2 = pairGraph();
-    GraphSharedState wide;
-    wide.name = "stats.wide";
-    wide.kind = "stat";
-    wide.accessors = {0, 1};
-    g2.sharedStates = {wide};
-    EXPECT_FALSE(analysis::analyzeGraph(g2).has("BTH110"));
-}
-
-TEST(ShardRules, Bth111ReportsCrossingEdgesPerShardPair)
-{
-    const auto rep = analysis::analyzeGraph(shardedGraph());
-    EXPECT_TRUE(rep.has("BTH111"));
-
-    // Same-shard edge: no crossing.
-    SimGraph g = shardedGraph();
-    g.modules[1].shard = 0;
-    EXPECT_FALSE(analysis::analyzeGraph(g).has("BTH111"));
-}
-
-TEST(ShardRules, Bth112FiresOnUncoveredModule)
-{
-    SimGraph g = shardedGraph();
-    g.modules[1].shard = kNoShard;
-    EXPECT_TRUE(analysis::analyzeGraph(g).has("BTH112"));
-    EXPECT_FALSE(analysis::analyzeGraph(shardedGraph()).has("BTH112"));
-}
-
 // --- Real-SoC lowering, census, and the planted-wake catch ---------
 
 FuzzCase
@@ -326,14 +249,7 @@ TEST(SocAnalysis, ElaboratedSocIsAnalyzeClean)
     const AcceleratorSoc soc(verify::buildAcceleratorConfig(memcpyCase()),
                              platform);
     const auto rep = soc.analyzeGraph();
-    EXPECT_FALSE(rep.hasErrors()) << rep.format();
-    // Every cross-shard state carries a resolution (the parallel
-    // kernel depends on it), so the audit reports resolved notes and
-    // crossing edges but zero BTH110 warnings.
-    EXPECT_FALSE(rep.has("BTH110")) << rep.format();
-    EXPECT_TRUE(rep.has("BTH113"));
-    EXPECT_TRUE(rep.has("BTH111"));
-    EXPECT_EQ(rep.warningCount(), 0u) << rep.format();
+    EXPECT_TRUE(rep.diagnostics().empty()) << rep.format();
 }
 
 TEST(SocAnalysis, CensusMatchesCompositionModel)
@@ -413,51 +329,16 @@ TEST(SocAnalysis, StaticAndDynamicCatchesPairUp)
     EXPECT_TRUE(static_rep.has("BTH100"));
 }
 
-// --- Shard-readiness report on the paper's compositions ------------
-
-TEST(ShardReport, Fig4AndFig6EnumerateCrossShardState)
-{
-    for (const bool fig6 : {false, true}) {
-        AwsF1Platform platform;
-        AcceleratorConfig cfg;
-        if (fig6) {
-            platform.setClockMHz(125.0);
-            cfg.systems.push_back(machsuite::GemmCore::systemConfig(4));
-        } else {
-            cfg.systems.push_back(
-                MemcpyCore::systemConfig(1, MemcpyCore::Variant{}));
-        }
-        const AcceleratorSoc soc(std::move(cfg), platform);
-        const analysis::SimGraph g = analysis::buildSimGraph(soc.sim());
-        const std::string report = analysis::shardReportJson(g);
-
-        EXPECT_NE(report.find("beethoven-shard-report-1"),
-                  std::string::npos);
-        // Every known cross-boundary shared-state family must appear,
-        // with file:line provenance.
-        for (const char *expect :
-             {"sim.wake-wheel", "power.ddr", "power.noc",
-              "ddr.in-flight", "\"site\": \"src/",
-              "\"crossing_edges\"", "\"shards\""}) {
-            EXPECT_NE(report.find(expect), std::string::npos)
-                << expect << " missing from shard report (fig6="
-                << fig6 << ")";
-        }
-        // The partition covers every module on these compositions.
-        EXPECT_NE(report.find("\"uncovered_modules\": 0"),
-                  std::string::npos);
-    }
-}
+// --- Registry ------------------------------------------------------
 
 TEST(ShardReport, EveryAnalyzerCodeIsRegisteredWithStableLayer)
 {
     for (const char *code :
          {"BTH100", "BTH101", "BTH102", "BTH103", "BTH104", "BTH105",
-          "BTH106", "BTH110", "BTH111", "BTH112"}) {
+          "BTH106"}) {
         const auto *info = lint::findDiagnosticCode(code);
         ASSERT_NE(info, nullptr) << code;
-        const std::string layer = info->layer;
-        EXPECT_TRUE(layer == "graph" || layer == "shard") << code;
+        EXPECT_EQ(std::string(info->layer), "graph") << code;
     }
 }
 

@@ -97,8 +97,8 @@ TEST(LintRegistry, CoversAllLayersWithStableUniqueCodes)
     }
     const std::set<std::string> expect_layers = {
         "config", "memory", "axi", "noc", "placement",
-        // Simulation-graph analyzer layers (src/analysis/, BTH1xx).
-        "graph", "shard"};
+        // Simulation-graph analyzer layer (src/analysis/, BTH1xx).
+        "graph"};
     EXPECT_EQ(layers, expect_layers);
     EXPECT_NE(lint::findDiagnosticCode("BTH001"), nullptr);
     EXPECT_EQ(lint::findDiagnosticCode("BTH999"), nullptr);

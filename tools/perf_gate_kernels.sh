@@ -1,23 +1,15 @@
 #!/usr/bin/env bash
 # Assert the kernel-speed ordering the simulator claims, on one bench
-# (best of N --quick runs per kernel):
-#
-#   1. event    >= tick   — the event kernel's skip-idle-modules win
-#   2. parallel >= event  — the sharded kernel's multi-core win, at
-#                           4 worker threads; only judged when the
-#                           machine actually has the cores (coordinator
-#                           + 4 workers), since on fewer cores the
-#                           workers time-slice one CPU and the epoch
-#                           barriers become pure overhead.
+# (best of N --quick runs per kernel): event >= tick, the event
+# kernel's skip-idle-modules win.
 #
 # Usage: perf_gate_kernels.sh BENCH_BINARY [RUNS]
-#   BEETHOVEN_GATE_THREADS  worker threads for stage 2 (default 4)
 #
-# Exit codes: 0 ordering holds (or the parallel stage skipped for lack
-# of cores), 1 a kernel is slower than its baseline, 2 usage/run
-# failure. Wired behind the BEETHOVEN_PERF_GATE ctest option: absolute
-# numbers are machine-scoped, but kernel-vs-kernel ratios on one
-# machine in one build are exactly the claims the kernels make.
+# Exit codes: 0 ordering holds, 1 the event kernel is slower than the
+# tick kernel, 2 usage/run failure. Wired behind the
+# BEETHOVEN_PERF_GATE ctest option: absolute numbers are
+# machine-scoped, but kernel-vs-kernel ratios on one machine in one
+# build are exactly the claim the event kernel makes.
 set -u
 
 if [ $# -lt 1 ]; then
@@ -26,16 +18,14 @@ if [ $# -lt 1 ]; then
 fi
 bench="$1"
 runs="${2:-3}"
-parallel_threads="${BEETHOVEN_GATE_THREADS:-4}"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
 best_cps() {
     kernel="$1"
-    shift
     best=0
     for _ in $(seq "$runs"); do
-        if ! "$bench" --quick --sim-kernel="$kernel" "$@" \
+        if ! "$bench" --quick --sim-kernel="$kernel" \
             --perf-json="$tmpdir/perf.json" >/dev/null 2>&1; then
             echo "perf_gate_kernels: $bench --sim-kernel=$kernel failed" >&2
             exit 2
@@ -62,28 +52,5 @@ awk -v t="$tick_cps" -v e="$event_cps" 'BEGIN{
 status=$?
 if [ "$status" -ne 0 ]; then
     echo "perf_gate_kernels: event kernel slower than tick kernel" >&2
-    exit "$status"
-fi
-
-cores=$(nproc 2>/dev/null || echo 1)
-need=$((parallel_threads + 1))
-if [ "$cores" -lt "$need" ]; then
-    echo "perf_gate_kernels: $cores core(s) < $need needed for the" \
-         "parallel gate ($parallel_threads workers + coordinator);" \
-         "skipping parallel>=event"
-    exit 0
-fi
-
-parallel_cps=$(best_cps parallel \
-    --sim-threads="$parallel_threads") || exit 2
-echo "parallel($parallel_threads threads): $parallel_cps cycles/sec" \
-     "(best of $runs)"
-awk -v e="$event_cps" -v p="$parallel_cps" 'BEGIN{
-    printf "parallel/event ratio: %.2fx\n", p / e
-    exit (p >= e) ? 0 : 1
-}'
-status=$?
-if [ "$status" -ne 0 ]; then
-    echo "perf_gate_kernels: parallel kernel slower than event kernel" >&2
 fi
 exit "$status"

@@ -5,15 +5,15 @@
 #   1. lint      soc_lint on the clean reference case (composition
 #                contract, BTH0xx)
 #   2. analyze   soc_analyze on the clean case and both paper presets
-#                (wake contract + shard readiness, BTH1xx)
+#                (wake contract, BTH1xx)
 #   3. tidy      tools/run_tidy.sh --diff (new clang-tidy warnings in
 #                changed files only; skips when LLVM is absent)
 #   4. sanitize  ctest smoke in the tsan preset's build tree when it
 #                exists (configure with `cmake --preset tsan` to opt
 #                in; skipped otherwise so gcc-only images still pass),
-#                including the parallel-kernel suites and a
-#                multi-threaded soc_fuzz differential smoke — the one
-#                place real cross-thread interleavings run under tsan
+#                including the run-isolation test that steps two SoCs
+#                on concurrent threads — the one place real
+#                cross-thread interleavings run under tsan
 #
 # Usage: tools/run_checks.sh [BUILD_DIR]
 #   BUILD_DIR  build tree holding the tools (default: build)
@@ -44,13 +44,8 @@ echo "== run_checks: 4/4 sanitize (tsan smoke) =="
 tsan_dir="$repo_root/build-tsan"
 if [ -f "$tsan_dir/CTestTestfile.cmake" ]; then
     (cd "$tsan_dir" && ctest -R \
-        'EventKernel|WakeWheel|Simulator|ParallelKernel|SplitQueue|CrossKernel' \
+        'EventKernel|WakeWheel|Simulator|CrossKernel|RunIsolation' \
         --output-on-failure -j "$(nproc)") || fail sanitize
-    # Drive real multi-threaded epochs under tsan: the three-way
-    # differential at an oversubscribed thread count exercises the
-    # barrier, mailbox drain, and merged-fence paths concurrently.
-    "$tsan_dir/tools/soc_fuzz" --differential --sim-threads=4 \
-        --seed=1 --iterations=3 || fail sanitize
 else
     echo "run_checks: $tsan_dir not configured; skipping tsan smoke" \
          "(run 'cmake --preset tsan && cmake --build --preset tsan')"

@@ -5,11 +5,7 @@
  * Where soc_lint checks the *configuration* before elaboration, this
  * tool elaborates the SoC (without running a single cycle), lowers the
  * simulator's registration record to the SimGraph IR, and proves the
- * event kernel's wake/sleep contract (BTH10x), livelock freedom, and
- * shard readiness (BTH11x). It also emits the machine-readable
- * shard-readiness report: the candidate partition, every cross-shard
- * shared-state site with file:line provenance, and the shard-crossing
- * queue census.
+ * event kernel's wake/sleep contract and livelock freedom (BTH10x).
  *
  * Usage:
  *   soc_analyze [--json] [--werror] [--list-codes] CASE.json
@@ -33,7 +29,6 @@
 #include "accel/machsuite/gemm.h"
 #include "accel/memcpy_core.h"
 #include "analysis/analyze.h"
-#include "analysis/sim_graph.h"
 #include "base/log.h"
 #include "core/soc.h"
 #include "lint/diagnostic.h"
@@ -55,9 +50,8 @@ usage(std::ostream &os)
           "CASE.json\n"
           "       soc_analyze [--json] [--werror] --preset=fig4|fig6\n"
           "\n"
-          "  --json          emit the diagnostic report and the "
-          "shard-readiness\n"
-          "                  report as one JSON document\n"
+          "  --json          emit the diagnostic report as a JSON "
+          "document\n"
           "  --werror        treat warnings as blocking findings\n"
           "  --list-codes    print the analyzer's diagnostic codes and "
           "exit\n"
@@ -75,11 +69,10 @@ usage(std::ostream &os)
 void
 listCodes(std::ostream &os)
 {
-    // Only the analyzer's own layers; soc_lint --list-codes prints the
+    // Only the analyzer's own layer; soc_lint --list-codes prints the
     // composition layers.
     for (const auto &info : lint::diagnosticRegistry()) {
-        const std::string layer = info.layer;
-        if (layer != "graph" && layer != "shard")
+        if (std::string(info.layer) != "graph")
             continue;
         os << info.code << "  " << lint::severityName(info.severity)
            << "  [" << info.layer << "] " << info.summary << "\n";
@@ -169,13 +162,10 @@ main(int argc, char **argv)
         return 3;
     }
 
-    const analysis::SimGraph graph = analysis::buildSimGraph(soc->sim());
     const lint::DiagnosticReport report = soc->analyzeGraph();
 
     if (as_json) {
-        std::cout << "{\n\"report\": " << report.toJson()
-                  << ",\n\"shard_report\": "
-                  << analysis::shardReportJson(graph) << "}\n";
+        std::cout << "{\n\"report\": " << report.toJson() << "}\n";
     } else {
         std::cout << report.format();
         std::cout << label << ": " << report.errorCount()

@@ -12,8 +12,7 @@
  *   soc_fuzz [--seed=N] [--iterations=N] [--max-cycles=N]
  *            [--max-ops=N] [--repro-out=PATH] [--no-shrink]
  *            [--plant-violation] [--plant-lint-violation]
- *            [--differential] [--sim-kernel=tick|event|parallel]
- *            [--sim-threads=N]
+ *            [--differential] [--sim-kernel=tick|event]
  *            [--plant-lost-wake=N] [--plant-wake-violation=N]
  *            [--replay=PATH] [--verbose]
  *
@@ -53,8 +52,7 @@ usage(std::ostream &os)
           "                [--plant-violation] [--plant-lint-violation]\n"
           "                [--plant-power-violation]\n"
           "                [--differential]\n"
-          "                [--sim-kernel=tick|event|parallel]\n"
-          "                [--sim-threads=N]\n"
+          "                [--sim-kernel=tick|event]\n"
           "                [--plant-lost-wake=N]\n"
           "                [--plant-wake-violation=N]\n"
           "                [--replay=PATH] [--verbose]\n"
@@ -76,15 +74,12 @@ usage(std::ostream &os)
           "                      plant a phantom energy leak in every\n"
           "                      case's power ledger (self-test of the\n"
           "                      energy-conservation invariant)\n"
-          "  --differential      run every case under ALL simulation\n"
+          "  --differential      run every case under both simulation\n"
           "                      kernels (tick as reference, then\n"
-          "                      event and parallel) and fail on any\n"
+          "                      event) and fail on any\n"
           "                      digest/cycle/outcome divergence\n"
           "  --sim-kernel=K      kernel for non-differential runs:\n"
-          "                      tick (default), event or parallel\n"
-          "  --sim-threads=N     worker threads for parallel-kernel\n"
-          "                      runs (default 2; 0 = one per\n"
-          "                      execution group)\n"
+          "                      tick (default) or event\n"
           "  --plant-lost-wake=N drop every Nth event-kernel wake\n"
           "                      schedule in every case (self-test of\n"
           "                      the differential catch path; implies\n"
@@ -154,19 +149,15 @@ main(int argc, char **argv)
             continue;
         } else if (parseU64Flag(arg, "max-cycles", v)) {
             opt.maxCycles = v;
-        } else if (parseU64Flag(arg, "sim-threads", v)) {
-            opt.parallelThreads = static_cast<unsigned>(v);
         } else if (parseStringFlag(arg, "sim-kernel", kernel_name)) {
             if (kernel_name == "tick") {
                 opt.kernel = SimKernel::Tick;
             } else if (kernel_name == "event") {
                 opt.kernel = SimKernel::Event;
-            } else if (kernel_name == "parallel") {
-                opt.kernel = SimKernel::Parallel;
             } else {
                 std::cerr << "soc_fuzz: bad --sim-kernel '"
                           << kernel_name
-                          << "' (expected tick, event or parallel)\n";
+                          << "' (expected tick or event)\n";
                 return 2;
             }
         } else if (arg == "--differential") {

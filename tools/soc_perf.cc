@@ -34,11 +34,8 @@
  *   --no-host-profile  skip the profiled pass (host_top stays empty
  *                      and no power summary is captured)
  *   --bench-args=STR   extra flags appended verbatim to every bench
- *                      invocation (e.g. "--sim-kernel=parallel
- *                      --sim-threads=4" to record the sharded
- *                      kernel's trajectory; combine with
- *                      --no-host-profile, which the parallel kernel
- *                      requires)
+ *                      invocation (e.g. "--sim-kernel=tick" to record
+ *                      the reference kernel's trajectory)
  *
  * Exit codes: 0 suite recorded, 1 a bench failed or produced
  * unparseable KPIs, 2 usage error or unwritable output.

@@ -32,6 +32,16 @@ makeParam(const char *name,
     return p;
 }
 
+// gtest lists each case as "<name>  # GetParam() = <printed param>",
+// and ctest names the case after that line. Without a printer gtest
+// dumps the struct's raw bytes, which begin with the name pointer, so
+// the case name would change with every build and every process.
+void
+PrintTo(const SweepParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
 class DramSweep : public ::testing::TestWithParam<SweepParam>
 {};
 

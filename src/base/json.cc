@@ -1,7 +1,9 @@
 #include "base/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <ostream>
 
 #include "base/log.h"
 
@@ -18,6 +20,38 @@ JsonValue::find(const std::string &key) const
             return &v;
     }
     return nullptr;
+}
+
+std::ostream &
+operator<<(std::ostream &os, JsonString s)
+{
+    const std::string_view t = s.text;
+    os.put('"');
+    // Copy runs of plain bytes in one write; stop only at bytes that
+    // need an escape.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const auto c = static_cast<unsigned char>(t[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        os.write(t.data() + run, static_cast<std::streamsize>(i - run));
+        run = i + 1;
+        switch (c) {
+          case '"': os << "\\\""; break;
+          case '\\': os << "\\\\"; break;
+          case '\n': os << "\\n"; break;
+          case '\t': os << "\\t"; break;
+          case '\r': os << "\\r"; break;
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            os << buf;
+          }
+        }
+    }
+    os.write(t.data() + run, static_cast<std::streamsize>(t.size() - run));
+    os.put('"');
+    return os;
 }
 
 namespace

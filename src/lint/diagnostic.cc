@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "base/json.h"
 #include "base/log.h"
 
 namespace beethoven::lint
@@ -187,36 +188,6 @@ DiagnosticReport::format() const
     return os.str();
 }
 
-namespace
-{
-
-/** Minimal JSON string escaping (quotes, backslashes, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 DiagnosticReport::toJson() const
 {
@@ -229,11 +200,11 @@ DiagnosticReport::toJson() const
         if (i != 0)
             os << ",";
         os << "\n    {\"code\": \"" << d.code << "\", \"severity\": \""
-           << severityName(d.severity) << "\", \"path\": \""
-           << jsonEscape(d.path) << "\", \"message\": \""
-           << jsonEscape(d.message) << "\", \"note\": \""
-           << jsonEscape(d.note) << "\", \"fixit\": \""
-           << jsonEscape(d.fixit) << "\"}";
+           << severityName(d.severity)
+           << "\", \"path\": " << jsonString(d.path)
+           << ", \"message\": " << jsonString(d.message)
+           << ", \"note\": " << jsonString(d.note)
+           << ", \"fixit\": " << jsonString(d.fixit) << "}";
     }
     os << "\n  ]\n}\n";
     return os.str();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 
+#include "base/json.h"
 #include "perf/host_clock.h"
 #include "trace/trace.h"
 
@@ -146,7 +147,7 @@ HostProfiler::writeJson(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        os << "{\"name\":\"" << c.name << "\",\"ns\":" << c.ns
+        os << "{\"name\":" << jsonString(c.name) << ",\"ns\":" << c.ns
            << ",\"calls\":" << c.calls << ",\"share\":" << share(c)
            << "}";
     }

@@ -8,6 +8,7 @@
 #define BEETHOVEN_HAVE_GETRUSAGE 1
 #endif
 
+#include "base/json.h"
 #include "perf/host_profiler.h"
 
 namespace beethoven
@@ -59,7 +60,7 @@ writePerfJson(std::ostream &os, const std::string &bench, bool quick,
     const AllocCounters alloc = allocCounters();
 
     os << "{\"schema\":\"beethoven-perf-1\"";
-    os << ",\"bench\":\"" << bench << "\"";
+    os << ",\"bench\":" << jsonString(bench);
     os << ",\"quick\":" << (quick ? "true" : "false");
     os << ",\"wall_ms\":" << wall_ms;
     os << ",\"sim_cycles\":" << cycles;

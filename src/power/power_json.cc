@@ -4,7 +4,6 @@
 
 #include "base/json.h"
 #include "base/log.h"
-#include "perf/bench_json.h" // jsonEscape
 
 namespace beethoven
 {
@@ -69,8 +68,8 @@ writePowerReportJson(std::ostream &os, const PowerReport &report)
         if (!first)
             os << ",";
         first = false;
-        os << "\n {\"label\":\"" << jsonEscape(r.label)
-           << "\",\"reference\":" << (r.reference ? "true" : "false");
+        os << "\n {\"label\":" << jsonString(r.label)
+           << ",\"reference\":" << (r.reference ? "true" : "false");
         if (r.reference) {
             os << ",\"avg_watts\":" << r.avgWatts
                << ",\"ops_per_sec\":" << r.opsPerSec
@@ -94,8 +93,8 @@ writePowerReportJson(std::ostream &os, const PowerReport &report)
             if (!cfirst)
                 os << ",";
             cfirst = false;
-            os << "\n  {\"name\":\"" << jsonEscape(c.name)
-               << "\",\"slr\":" << c.slr << ",\"joules\":" << c.joules
+            os << "\n  {\"name\":" << jsonString(c.name)
+               << ",\"slr\":" << c.slr << ",\"joules\":" << c.joules
                << ",\"avg_watts\":" << c.avgWatts
                << ",\"peak_watts\":" << c.peakWatts << "}";
         }

@@ -147,45 +147,33 @@ void
 writeBottleneckJson(std::ostream &os,
                     const std::vector<RunStallReport> &runs)
 {
-    auto quote = [&os](const std::string &s) {
-        os << '"';
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                os << '\\';
-            os << c;
-        }
-        os << '"';
-    };
     os << "{\"runs\":[";
     bool first_run = true;
     for (const RunStallReport &run : runs) {
         if (!first_run)
             os << ",";
         first_run = false;
-        os << "{\"label\":";
-        quote(run.label);
-        os << ",\"cycles\":" << run.cycles << ",\"modules\":[";
+        os << "{\"label\":" << jsonString(run.label)
+           << ",\"cycles\":" << run.cycles << ",\"modules\":[";
         bool first_mod = true;
         for (const StallBreakdown &m : run.modules) {
             if (!first_mod)
                 os << ",";
             first_mod = false;
-            os << "{\"module\":";
-            quote(m.module);
-            os << ",\"classes\":{";
+            os << "{\"module\":" << jsonString(m.module)
+               << ",\"classes\":{";
             const u64 total = m.total();
             for (std::size_t i = 0; i < kNumStallClasses; ++i) {
                 if (i != 0)
                     os << ",";
-                quote(stallClassName(static_cast<StallClass>(i)));
-                os << ":" << m.counts[i];
+                os << jsonString(stallClassName(StallClass(i))) << ":"
+                   << m.counts[i];
             }
             os << "},\"share\":{";
             for (std::size_t i = 0; i < kNumStallClasses; ++i) {
                 if (i != 0)
                     os << ",";
-                quote(stallClassName(static_cast<StallClass>(i)));
-                os << ":"
+                os << jsonString(stallClassName(StallClass(i))) << ":"
                    << (total == 0 ? 0.0
                                   : double(m.counts[i]) / double(total));
             }

@@ -1,44 +1,13 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
 
+#include "base/json.h"
 #include "base/log.h"
 
 namespace beethoven
 {
-
-namespace
-{
-
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 TraceSink::TraceSink()
 {
@@ -157,19 +126,19 @@ TraceSink::writeChromeTrace(std::ostream &os) const
     for (std::size_t pid = 0; pid < _processNames.size(); ++pid) {
         sep();
         os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-           << ",\"tid\":0,\"args\":{\"name\":\""
-           << jsonEscape(_processNames[pid]) << "\"}}";
+           << ",\"tid\":0,\"args\":{\"name\":"
+           << jsonString(_processNames[pid]) << "}}";
     }
     for (const auto &[key, name] : _trackNames) {
         sep();
         os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":"
            << key.first << ",\"tid\":" << key.second
-           << ",\"args\":{\"name\":\"" << jsonEscape(name) << "\"}}";
+           << ",\"args\":{\"name\":" << jsonString(name) << "}}";
     }
     for (const Event &e : _events) {
         sep();
-        os << "{\"name\":\"" << jsonEscape(e.name) << "\",\"cat\":\""
-           << jsonEscape(e.cat) << "\",\"pid\":" << e.pid;
+        os << "{\"name\":" << jsonString(e.name)
+           << ",\"cat\":" << jsonString(e.cat) << ",\"pid\":" << e.pid;
         switch (e.kind) {
           case Kind::Span:
             os << ",\"tid\":" << e.tid << ",\"ph\":\"X\",\"ts\":"
@@ -192,7 +161,7 @@ TraceSink::writeChromeTrace(std::ostream &os) const
                 if (!afirst)
                     os << ",";
                 afirst = false;
-                os << "\"" << jsonEscape(k) << "\":" << v;
+                os << jsonString(k) << ":" << v;
             }
             os << "}";
         }

@@ -206,6 +206,36 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(parseJson("\"unterminated"), ConfigError);
 }
 
+/** @p s as jsonString() writes it. */
+std::string
+jsonLiteral(const std::string &s)
+{
+    std::ostringstream os;
+    os << jsonString(s);
+    return os.str();
+}
+
+TEST(Json, EscapesControlAndQuoteCharacters)
+{
+    EXPECT_EQ(jsonLiteral("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    EXPECT_EQ(jsonLiteral("\t\r"), "\"\\t\\r\"");
+    EXPECT_EQ(jsonLiteral(std::string("\x01\x1f", 2)), "\"\\u0001\\u001f\"");
+    EXPECT_EQ(jsonLiteral(""), "\"\"");
+}
+
+TEST(Json, EscapedControlCharactersRoundTrip)
+{
+    // Every byte below 0x20, plus the two that must be escaped and a
+    // plain tail: the parser must return exactly the original string.
+    std::string s;
+    for (int c = 0; c < 0x20; ++c)
+        s += static_cast<char>(c);
+    s += "\"\\ plain";
+    const JsonValue v = parseJson(jsonLiteral(s));
+    ASSERT_TRUE(v.isString());
+    EXPECT_EQ(v.string, s);
+}
+
 TEST(Stats, GroupHierarchyAndLookup)
 {
     StatGroup root("soc");

@@ -14,8 +14,7 @@ int
 main(int argc, char **argv)
 {
     // Static table, no Simulator to cli.instrument(); --perf-json
-    // still records wall time and peak RSS (sim_cycles stays 0, so
-    // perf_compare judges this bench on wall time only).
+    // still records wall time and peak RSS (sim_cycles stays 0).
     beethoven::BenchCli cli(argc, argv);
     using namespace beethoven::machsuite;
     std::printf("# Table I — MachSuite benchmarks selected for the "

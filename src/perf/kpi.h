@@ -1,15 +1,14 @@
 /**
  * @file
- * Run-level host KPIs: the process-wide numbers a perf trajectory
- * tracks per bench — wall time, simulated cycles (and module ticks)
+ * Run-level host KPIs: wall time, simulated cycles (and module ticks)
  * per second, peak RSS, and allocation churn.
  *
  * These complement the HostProfiler's per-component breakdown: the
  * profiler says *where* host time goes, the KPIs say *how fast* the
- * whole process converted wall-clock into simulated cycles. They are
- * collected by bench_cli and serialized into --perf-json output
- * (schema "beethoven-perf-1"), which tools/soc_perf aggregates into
- * the committed BENCH_<label>.json trajectory files.
+ * whole process converted wall-clock into simulated cycles. bench_cli
+ * serializes them into --perf-json output (schema "beethoven-perf-1"),
+ * a one-off diagnostic for a single run; perfbench/ reads the peak RSS
+ * and allocation counters for the repository benchmark.
  */
 
 #ifndef BEETHOVEN_PERF_KPI_H

@@ -11,8 +11,7 @@
  * ratios against them are computable from the file alone.
  *
  * bench/common/bench_cli writes these via --power-json;
- * tools/power_report renders them; tools/soc_perf folds the summary
- * block into BENCH_<label>.json. The parser accepts exactly schema
+ * tools/power_report renders them. The parser accepts exactly schema
  * "beethoven-power-1" and throws ConfigError on anything else.
  */
 

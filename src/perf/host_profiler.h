@@ -4,17 +4,17 @@
  *
  * The existing observability stack (src/trace/) explains where
  * *simulated* cycles go; the HostProfiler explains where *wall-clock*
- * goes while the simulator produces those cycles — the breakdown the
- * ROADMAP's cycles-per-second KPI work needs before the step loop can
- * be made event-driven or sharded.
+ * goes while the simulator produces those cycles.
  *
  * Attach a profiler to a Simulator (Simulator::attachHostProfiler) and
  * every step is accounted against named components: one component per
  * registered module, plus a builtin "(commit)" bucket for the
  * end-of-cycle commit phase. Attribution happens with a chain of
- * monotonic clock reads (one per module per measured cycle), so
- * per-component times are disjoint sub-intervals of the measured
- * step-loop total and always sum to <= it.
+ * monotonic clock reads (one per tick the kernel runs on a measured
+ * cycle), so per-component times are disjoint sub-intervals of the
+ * measured step-loop total and always sum to <= it. The profile
+ * describes the kernel that ran: under the event kernel a sleeping
+ * module is not ticked and records no interval for that cycle.
  *
  * Three modes bound the overhead:
  *

@@ -122,7 +122,9 @@ Simulator::setKernel(SimKernel k)
         for (Module *m : _modules)
             m->_awake = true;
     }
-    _dirtyCommits.clear();
+    // The dirty list is kept: a queue staged before the switch still
+    // commits on the next event step, and re-committing a queue the
+    // tick kernel already committed is a no-op.
 }
 
 void
@@ -177,77 +179,6 @@ Simulator::activeModules() const
     return n;
 }
 
-void
-Simulator::stepPhasesEvent()
-{
-    _wheel.drain(_cycle, [](Module *m) { m->_awake = true; });
-    _inTickPhase = true;
-    u64 ticks = 0;
-    for (std::size_t i = 0; i < _modules.size(); ++i) {
-        Module *m = _modules[i];
-        if (!m->_awake)
-            continue;
-        _cursor = i;
-        m->tick();
-        ++ticks;
-    }
-    _inTickPhase = false;
-    // Only queues that staged a push or pop this cycle have anything to
-    // publish; a clean TimedQueue commit is a no-op by construction.
-    for (Committable *c : _dirtyCommits)
-        c->commit();
-    _dirtyCommits.clear();
-    g_moduleTicks += ticks;
-}
-
-void
-Simulator::stepPhasesProfiled()
-{
-    if (_kernel == SimKernel::Event) {
-        // Profiled cycles tick everything so per-module wall-time
-        // attribution stays complete; wake/dirty bookkeeping still runs
-        // underneath (ticking a sleeper is a harmless superset — it
-        // re-accounts the class its sleep gap would have backfilled),
-        // so an unprofiled run can resume the quiescent schedule.
-        _wheel.drain(_cycle, [](Module *m) { m->_awake = true; });
-    }
-    HostProfiler &hp = *_hostProf;
-    if (!hp.onCycle()) {
-        // Unmeasured cycle (sampling miss or KPI-only mode): the same
-        // phases as the plain path, no clock reads.
-        for (Module *m : _modules)
-            m->tick();
-        for (Committable *c : _commits)
-            c->commit();
-        _dirtyCommits.clear();
-        return;
-    }
-    // Modules registered since attach (or since last growth) get
-    // their component ids on first measured cycle.
-    for (std::size_t i = _profIds.size(); i < _modules.size(); ++i)
-        _profIds.push_back(hp.componentId(_modules[i]->name()));
-
-    // One clock read per module: each tick is the interval between
-    // consecutive reads, so per-component times are disjoint slices
-    // of the measured total and their sum cannot exceed it.
-    const u64 t_start = hostNowNs();
-    u64 t_prev = t_start;
-    for (std::size_t i = 0; i < _modules.size(); ++i) {
-        _modules[i]->tick();
-        const u64 t_now = hostNowNs();
-        hp.add(_profIds[i], t_now - t_prev);
-        t_prev = t_now;
-    }
-    for (Committable *c : _commits)
-        c->commit();
-    _dirtyCommits.clear();
-    const u64 t_end = hostNowNs();
-    hp.add(hp.commitComponentId(), t_end - t_prev);
-    hp.addTotal(t_end - t_start);
-    if (_trace != nullptr)
-        hp.emitCountersMaybe(*_trace, _cycle);
-}
-
 std::size_t
 Simulator::pendingWakes() const
 {
@@ -259,29 +190,63 @@ void
 Simulator::step()
 {
     gSimThreadRole.assertHeld();
-    // KPI-only profiling (the bare --perf-json heartbeat) never reads
-    // per-module clocks, so it composes with the event kernel: advance
-    // the heartbeat and take the quiescence-aware step. Sampling and
-    // scoped modes need every module ticked for complete wall-time
-    // attribution and keep the tick-all profiled path.
-    const bool kpi_only =
-        _hostProf != nullptr &&
-        _hostProf->mode() == HostProfiler::Mode::KpiOnly;
-    if (_hostProf != nullptr &&
-        (_kernel != SimKernel::Event || !kpi_only)) {
-        stepPhasesProfiled();
-        g_moduleTicks += _modules.size();
-    } else if (_kernel == SimKernel::Event) {
-        if (kpi_only)
-            _hostProf->onCycle();
-        stepPhasesEvent();
-    } else {
-        for (Module *m : _modules)
-            m->tick();
-        for (Committable *c : _commits)
-            c->commit();
-        g_moduleTicks += _modules.size();
+    // The tick kernel ticks every module and commits every queue; it
+    // reads neither the awake flags nor the dirty list, so the
+    // differential reference stays independent of the wake machinery.
+    // The event kernel drains due wakes, skips sleepers and commits
+    // only the queues that staged something this cycle.
+    const bool event = _kernel == SimKernel::Event;
+    if (event)
+        _wheel.drain(_cycle, [](Module *m) { m->_awake = true; });
+
+    // On a cycle the profiler measures, one clock read follows each
+    // tick that runs, so per-component times are disjoint slices of
+    // the measured total and their sum cannot exceed it.
+    const bool measured = _hostProf != nullptr && _hostProf->onCycle();
+    u64 t_start = 0;
+    if (measured) {
+        // Modules registered since attach get their component ids on
+        // their first measured cycle.
+        for (std::size_t i = _profIds.size(); i < _modules.size(); ++i)
+            _profIds.push_back(_hostProf->componentId(_modules[i]->name()));
+        t_start = hostNowNs();
     }
+    u64 t_prev = t_start;
+
+    _inTickPhase = true;
+    u64 ticks = 0;
+    for (std::size_t i = 0; i < _modules.size(); ++i) {
+        Module *m = _modules[i];
+        if (event && !m->_awake)
+            continue;
+        _cursor = i;
+        m->tick();
+        ++ticks;
+        if (measured) {
+            const u64 t_now = hostNowNs();
+            _hostProf->add(_profIds[i], t_now - t_prev);
+            t_prev = t_now;
+        }
+    }
+    _inTickPhase = false;
+    g_moduleTicks += ticks;
+
+    // A clean TimedQueue commit is a no-op, so the event kernel's
+    // dirty list publishes exactly what committing everything would.
+    std::vector<Committable *> &commits = event ? _dirtyCommits : _commits;
+    for (Committable *c : commits)
+        c->commit();
+    if (event)
+        _dirtyCommits.clear();
+
+    if (measured) {
+        const u64 t_end = hostNowNs();
+        _hostProf->add(_hostProf->commitComponentId(), t_end - t_prev);
+        _hostProf->addTotal(t_end - t_start);
+        if (_trace != nullptr)
+            _hostProf->emitCountersMaybe(*_trace, _cycle);
+    }
+
     ++_cycle;
     ++g_simCycles;
     if (_powerMeter != nullptr)

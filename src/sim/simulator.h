@@ -60,12 +60,13 @@ class Invariant
 };
 
 /**
- * Which step() implementation clocks the SoC (see DESIGN.md §3/§4a).
+ * Which modules step() ticks and which queues it commits (see
+ * DESIGN.md §3/§4a).
  *
- * Both kernels step cycle-by-cycle and produce bit-identical results;
- * the event kernel skips the tick of every quiescent module. Tick
- * remains the reference kernel the differential harness compares
- * against.
+ * Both kernels step cycle-by-cycle through the same loop and produce
+ * bit-identical results; the event kernel skips the tick of every
+ * quiescent module and commits only dirty queues. Tick remains the
+ * reference kernel the differential harness compares against.
  */
 enum class SimKernel
 {
@@ -115,7 +116,10 @@ class Simulator
         _stallAccounts.push_back(a);
     }
 
-    /** Advance one cycle: tick all modules, then commit all state. */
+    /**
+     * Advance one cycle: tick the modules the kernel schedules, then
+     * commit the state they staged.
+     */
     void step();
 
     /** Advance @p n cycles. */
@@ -131,10 +135,9 @@ class Simulator
     Cycle cycle() const { return _cycle; }
 
     /**
-     * Select the stepping kernel. Switching to Event wakes every
-     * module (conservative: the first cycles re-establish quiescence);
-     * switching away discards pending dirty-commit tracking. Safe to
-     * call between steps only.
+     * Select the stepping kernel (Event by default). Selecting Event
+     * wakes every module (conservative: the first cycles re-establish
+     * quiescence). Safe to call between steps only.
      */
     void setKernel(SimKernel k);
     SimKernel kernel() const { return _kernel; }
@@ -295,10 +298,11 @@ class Simulator
 
     /**
      * Attached host profiler, or nullptr (the default). When attached,
-     * step() routes through a profiled path that attributes wall-clock
-     * time per module (per the profiler's sampling mode) and drives
-     * the cycles/sec heartbeat; when null, the only cost is one
-     * pointer check per step. Not owned; must outlive its attachment.
+     * step() drives the cycles/sec heartbeat and, on the cycles the
+     * profiler measures (per its mode), reads the clock after every
+     * tick it runs, attributing wall-clock time to the modules the
+     * kernel actually ticked. When null, the only cost is one pointer
+     * check per step. Not owned; must outlive its attachment.
      * Detaching (nullptr) is allowed between runs.
      */
     HostProfiler *hostProfiler() const { return _hostProf; }
@@ -331,17 +335,11 @@ class Simulator
     std::size_t numModules() const { return _modules.size(); }
 
   private:
-    /** Tick+commit with per-phase host-time attribution. */
-    void stepPhasesProfiled() BTH_REQUIRES(gSimThreadRole);
-
-    /** Event-kernel tick+commit: wheel drain, awake scan, dirty commit. */
-    void stepPhasesEvent() BTH_REQUIRES(gSimThreadRole);
-
     /** Wheel-arm a wake with dedup and planted-fault accounting. */
     void scheduleWake(Module *m, Cycle at) BTH_REQUIRES(gSimThreadRole);
 
     Cycle _cycle = 0;
-    SimKernel _kernel = SimKernel::Tick;
+    SimKernel _kernel = SimKernel::Event;
     std::vector<Module *> _modules;
     std::vector<Committable *> _commits;
     WakeWheel _wheel BTH_GUARDED_BY(gSimThreadRole);

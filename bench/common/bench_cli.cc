@@ -59,8 +59,8 @@ makeProfiler(const std::string &spec)
 }
 
 /**
- * The value of a count flag (--watchdog=N, --power-window=N): all
- * decimal digits, or a usage error (exit 2) naming @p flag.
+ * The value of a count flag (--watchdog=N): all decimal digits, or a
+ * usage error (exit 2) naming @p flag.
  */
 u64
 parseCount(const char *flag, const char *value)
@@ -93,7 +93,6 @@ BenchCli::BenchCli(int &argc, char **argv)
         {"--stats-json=", &_statsPath, "stats"},
         {"--stall-report=", &_stallReportPath, "stall report"},
         {"--perf-json=", &_perfPath, "perf json"},
-        {"--power-trace=", &_powerTracePath, "power trace"},
         {"--power-json=", &_powerJsonPath, "power json"},
     };
 
@@ -117,13 +116,7 @@ BenchCli::BenchCli(int &argc, char **argv)
         }
         if (is_output)
             continue;
-        if (std::strncmp(arg, "--power-window=", 15) == 0) {
-            _powerWindow = parseCount("--power-window", arg + 15);
-            if (_powerWindow == 0) {
-                std::cerr << "bad --power-window (expected N >= 1)\n";
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--host-profile") == 0) {
+        if (std::strcmp(arg, "--host-profile") == 0) {
             host_profile = true;
         } else if (std::strncmp(arg, "--host-profile=", 15) == 0) {
             host_profile = true;
@@ -145,8 +138,6 @@ BenchCli::BenchCli(int &argc, char **argv)
             _quick = true;
         } else if (std::strcmp(arg, "--no-invariants") == 0) {
             _invariants = false;
-        } else if (std::strcmp(arg, "--invariants") == 0) {
-            _invariants = true;
         } else {
             argv[out++] = argv[i];
         }
@@ -177,13 +168,8 @@ BenchCli::BenchCli(int &argc, char **argv)
 
     if (!_tracePath.empty())
         _sink = std::make_unique<TraceSink>();
-    if (!_powerTracePath.empty() || !_powerJsonPath.empty()) {
-        _powerMeter = std::make_unique<PowerMeter>(_powerWindow);
-        if (!_powerTracePath.empty()) {
-            _powerSink = std::make_unique<TraceSink>();
-            _powerMeter->attachTrace(_powerSink.get());
-        }
-    }
+    if (!_powerJsonPath.empty())
+        _powerMeter = std::make_unique<PowerMeter>();
 }
 
 BenchCli::~BenchCli() = default;
@@ -310,19 +296,7 @@ BenchCli::finish()
                           globalModuleTicks(), _profiler.get());
         }
     }
-    if (!_powerTracePath.empty() && _powerSink != nullptr) {
-        std::ofstream f(_powerTracePath);
-        if (!f) {
-            std::cerr << "cannot open power trace file "
-                      << _powerTracePath << "\n";
-            rc = 1;
-        } else {
-            _powerSink->writeChromeTrace(f);
-            std::cerr << "wrote " << _powerSink->numEvents()
-                      << " power samples to " << _powerTracePath << "\n";
-        }
-    }
-    if (!_powerJsonPath.empty() && _powerMeter != nullptr) {
+    if (_powerMeter != nullptr) {
         std::ofstream f(_powerJsonPath);
         if (!f) {
             std::cerr << "cannot open power json file " << _powerJsonPath

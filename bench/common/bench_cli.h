@@ -22,17 +22,14 @@
  *                       (measure every Nth cycle; bare --host-profile
  *                       means sample:64). Breakdown prints to stderr
  *                       and lands in --perf-json output
- *   --power-trace=FILE  Chrome trace of windowed per-component watt
- *                       counter-tracks ("power/<component>"), sampled
- *                       from the SoC's PowerLedger
  *   --power-json=FILE   power/energy telemetry (schema
  *                       beethoven-power-1): per recorded run the total
  *                       joules, avg/peak watts, static floor, per-SLR
  *                       and per-component breakdown, and — when the
  *                       bench reports an operation count — energy per
- *                       op. tools/power_report renders these files
- *   --power-window=N    cycles between power samples (default 1024;
- *                       the --power-trace overhead knob)
+ *                       op. tools/power_report renders these files.
+ *                       With --trace, the trace also gets windowed
+ *                       "power/<component>" watt counter-tracks
  *   --watchdog=N        arm the simulator hang watchdog (abort after N
  *                       cycles without forward progress; 0 = off)
  *   --sim-kernel=K      simulation kernel: "event" (default; quiescent
@@ -50,8 +47,8 @@
  * Output paths are probe-opened at startup: a path that cannot be
  * written (missing directory, no permission) or is empty
  * (`--trace=`) is a fatal usage error (exit 2) before any simulation
- * runs, not a surprise after it. So is a --watchdog or --power-window
- * value that is not a decimal count.
+ * runs, not a surprise after it. So is a --watchdog value that is not
+ * a decimal count.
  *
  * The sink is owned here; benches attach it per-run with
  * `soc.sim().attachTrace(cli.sink())` (a nullptr attach is a no-op
@@ -111,7 +108,7 @@ class BenchCli
     /** The host profiler, or nullptr when neither perf flag was given. */
     HostProfiler *profiler() const { return _profiler.get(); }
 
-    /** The power meter, or nullptr when neither power flag was given. */
+    /** The power meter, or nullptr when --power-json was not given. */
     PowerMeter *powerMeter() const { return _powerMeter.get(); }
 
     bool invariantsEnabled() const { return _invariants; }
@@ -168,9 +165,7 @@ class BenchCli
     std::string _statsPath;
     std::string _stallReportPath;
     std::string _perfPath;
-    std::string _powerTracePath;
     std::string _powerJsonPath;
-    u64 _powerWindow = 1024;
     bool _quick = false;
     bool _invariants = true;
     /** --sim-kernel=tick; event is the default. A flag rather than a
@@ -179,7 +174,6 @@ class BenchCli
     u64 _watchdog = 0;
     u64 _startNs = 0;
     std::unique_ptr<TraceSink> _sink;
-    std::unique_ptr<TraceSink> _powerSink; ///< --power-trace events
     std::unique_ptr<HostProfiler> _profiler;
     std::unique_ptr<PowerMeter> _powerMeter;
     std::vector<std::pair<std::string, std::string>> _statsJson;

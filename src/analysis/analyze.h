@@ -74,7 +74,6 @@ struct GraphShape
     u64 pumps = 0;
     u64 drams = 1;
     u64 mmios = 1;
-    u64 probes = 1;
 };
 
 GraphShape predictGraphShape(const lint::CompositionModel &model);

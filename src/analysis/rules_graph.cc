@@ -223,7 +223,7 @@ ruleCensus(const SimGraph &g, const lint::CompositionModel *model,
         return; // hand-built graph: no composition to compare against
     const GraphShape want = predictGraphShape(*model);
     GraphShape have;
-    have.drams = have.mmios = have.probes = 0;
+    have.drams = have.mmios = 0;
     for (const GraphModule &m : g.modules) {
         if (m.role == "core")
             ++have.cores;
@@ -241,8 +241,6 @@ ruleCensus(const SimGraph &g, const lint::CompositionModel *model,
             ++have.drams;
         else if (m.role == "mmio")
             ++have.mmios;
-        else if (m.role == "probe")
-            ++have.probes;
     }
     const struct
     {
@@ -257,7 +255,6 @@ ruleCensus(const SimGraph &g, const lint::CompositionModel *model,
         {"pump", want.pumps, have.pumps},
         {"dram", want.drams, have.drams},
         {"mmio", want.mmios, have.mmios},
-        {"probe", want.probes, have.probes},
     };
     for (const auto &c : counts) {
         if (c.want == c.have)

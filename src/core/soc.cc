@@ -18,25 +18,6 @@ namespace
 {
 
 /**
- * Register one fabric tree with the NoC probe: a busy-interval track
- * over its total link occupancy plus per-link occupancy counters,
- * sampled only while a TraceSink is attached to the simulator.
- */
-template <typename Tree>
-void
-hookTree(TraceProbe &probe, const std::string &track, Tree &tree)
-{
-    probe.addBusyTrack(track, [&tree] { return tree.occupancy(); });
-    probe.addCounterSampler([&tree](TraceSink &ts, Cycle at) {
-        tree.visitLinkOccupancy(
-            [&ts, at](const std::string &link, std::size_t occ) {
-                ts.counter("noc", link + ".occ", at,
-                           static_cast<double>(occ));
-            });
-    });
-}
-
-/**
  * Connects an IntraCoreMemoryPortOut to target cores' scratchpad write
  * ports, optionally broadcasting (Section II-A: "Beethoven also allows
  * Cores to communicate with each other").
@@ -143,8 +124,7 @@ AcceleratorSoc::AcceleratorSoc(AcceleratorConfig config,
     buildCommandFabric();
     wireIntraCorePorts();
     buildCores();
-    buildTraceProbe();
-    registerHangDumpers();
+    registerObservers();
     accountInterconnect();
     checkFit();
     buildPowerLedger();
@@ -154,99 +134,77 @@ AcceleratorSoc::AcceleratorSoc(AcceleratorConfig config,
     validateGraph();
 }
 
+template <typename Fn>
+void
+AcceleratorSoc::forEachTree(Fn &&fn) const
+{
+    if (_arTree)
+        fn("noc.ar", *_arTree);
+    if (_rTree)
+        fn("noc.r", *_rTree);
+    if (_wTree)
+        fn("noc.w", *_wTree);
+    if (_bTree)
+        fn("noc.b", *_bTree);
+    if (_cmdTree)
+        fn("noc.cmd", *_cmdTree);
+    if (_respTree)
+        fn("noc.resp", *_respTree);
+}
+
 std::size_t
 AcceleratorSoc::nocOccupancy() const
 {
     std::size_t occ = 0;
-    if (_arTree)
-        occ += _arTree->occupancy();
-    if (_rTree)
-        occ += _rTree->occupancy();
-    if (_wTree)
-        occ += _wTree->occupancy();
-    if (_bTree)
-        occ += _bTree->occupancy();
-    if (_cmdTree)
-        occ += _cmdTree->occupancy();
-    if (_respTree)
-        occ += _respTree->occupancy();
+    forEachTree([&occ](const char *, const auto &tree) {
+        occ += tree.occupancy();
+    });
     return occ;
 }
-
-void
-AcceleratorSoc::registerHangDumpers()
-{
-    _sim.addHangDumper(
-        [this](std::ostream &os) { _dram->dumpInFlight(os); });
-    auto dump_tree = [](std::ostream &os, const std::string &track,
-                        const auto &tree) {
-        os << "  " << track << " links (nonzero occupancy):\n";
-        bool any = false;
-        tree.visitLinkOccupancy(
-            [&os, &any](const std::string &link, std::size_t occ) {
-                if (occ == 0)
-                    return;
-                any = true;
-                os << "    " << link << ": " << occ << "\n";
-            });
-        if (!any)
-            os << "    (all empty)\n";
-    };
-    _sim.addHangDumper([this, dump_tree](std::ostream &os) {
-        os << "NoC link occupancy:\n";
-        if (_arTree)
-            dump_tree(os, "noc.ar", *_arTree);
-        if (_rTree)
-            dump_tree(os, "noc.r", *_rTree);
-        if (_wTree)
-            dump_tree(os, "noc.w", *_wTree);
-        if (_bTree)
-            dump_tree(os, "noc.b", *_bTree);
-        if (_cmdTree)
-            dump_tree(os, "noc.cmd", *_cmdTree);
-        if (_respTree)
-            dump_tree(os, "noc.resp", *_respTree);
-    });
-}
-
-void
-AcceleratorSoc::buildTraceProbe()
-{
-    _nocProbe = std::make_unique<TraceProbe>(_sim, "noc.probe");
-    if (_arTree)
-        hookTree(*_nocProbe, "noc.ar", *_arTree);
-    if (_rTree)
-        hookTree(*_nocProbe, "noc.r", *_rTree);
-    if (_wTree)
-        hookTree(*_nocProbe, "noc.w", *_wTree);
-    if (_bTree)
-        hookTree(*_nocProbe, "noc.b", *_bTree);
-    if (_cmdTree)
-        hookTree(*_nocProbe, "noc.cmd", *_cmdTree);
-    if (_respTree)
-        hookTree(*_nocProbe, "noc.resp", *_respTree);
-}
-
-AcceleratorSoc::~AcceleratorSoc() = default;
 
 double
 AcceleratorSoc::nocFlits() const
 {
     double f = 0.0;
-    if (_arTree)
-        f += _arTree->flits();
-    if (_rTree)
-        f += _rTree->flits();
-    if (_wTree)
-        f += _wTree->flits();
-    if (_bTree)
-        f += _bTree->flits();
-    if (_cmdTree)
-        f += _cmdTree->flits();
-    if (_respTree)
-        f += _respTree->flits();
+    forEachTree(
+        [&f](const char *, const auto &tree) { f += tree.flits(); });
     return f;
 }
+
+void
+AcceleratorSoc::registerObservers()
+{
+    _sim.addHangDumper(
+        [this](std::ostream &os) { _dram->dumpInFlight(os); });
+    _sim.addHangDumper([this](std::ostream &os) {
+        os << "NoC link occupancy:\n";
+        forEachTree([&os](const char *track, const auto &tree) {
+            os << "  " << track << " links (nonzero occupancy):\n";
+            bool any = false;
+            tree.visitLinkOccupancy(
+                [&os, &any](const std::string &link, std::size_t occ) {
+                    if (occ == 0)
+                        return;
+                    any = true;
+                    os << "    " << link << ": " << occ << "\n";
+                });
+            if (!any)
+                os << "    (all empty)\n";
+        });
+    });
+    // Per-link occupancy, sampled once per window while tracing.
+    _sim.addCounterSampler([this](TraceSink &ts, Cycle at) {
+        forEachTree([&ts, at](const char *, const auto &tree) {
+            tree.visitLinkOccupancy(
+                [&ts, at](const std::string &link, std::size_t occ) {
+                    ts.counter("noc", link + ".occ", at,
+                               static_cast<double>(occ));
+                });
+        });
+    });
+}
+
+AcceleratorSoc::~AcceleratorSoc() = default;
 
 PowerLedger &
 AcceleratorSoc::power()

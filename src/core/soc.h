@@ -44,7 +44,6 @@
 namespace beethoven
 {
 
-class TraceProbe;
 class PowerLedger;
 
 /** Where one logical on-chip memory ended up (Table II evidence). */
@@ -152,9 +151,16 @@ class AcceleratorSoc
     void wireIntraCorePorts();
     void accountInterconnect();
     void checkFit() const;
-    void buildTraceProbe();
-    void registerHangDumpers();
+    void registerObservers();
     void buildPowerLedger();
+
+    /**
+     * Call @p fn(track, tree) for each memory-fabric and command-fabric
+     * tree that elaboration built, in a fixed order ("noc.ar", "noc.r",
+     * "noc.w", "noc.b", "noc.cmd", "noc.resp").
+     */
+    template <typename Fn>
+    void forEachTree(Fn &&fn) const;
 
     /** Constructor-tail graph analysis; fatal on contract errors. */
     void validateGraph();
@@ -184,9 +190,6 @@ class AcceleratorSoc
     std::unique_ptr<DemuxTree<RoccCommand>> _cmdTree;
     std::unique_ptr<MuxTree<RoccResponse>> _respTree;
     std::unique_ptr<QueuePump<RoccCommand>> _cmdPump;
-
-    /** Feeds an attached TraceSink with NoC occupancy; inert otherwise. */
-    std::unique_ptr<TraceProbe> _nocProbe;
 
     /** Energy decomposition (built after checkFit; see power()). */
     std::unique_ptr<PowerLedger> _power;

@@ -83,9 +83,15 @@ struct CompositionModel
     std::vector<ResourceVec> systemCoreLogic;
 };
 
-/** Resolve @p config against @p platform. Never throws. */
+/**
+ * Resolve @p config against @p platform. Never throws. The model keeps
+ * pointers to both, so they must outlive it; a temporary config does
+ * not compile.
+ */
 CompositionModel buildCompositionModel(const AcceleratorConfig &config,
                                        const Platform &platform);
+CompositionModel buildCompositionModel(AcceleratorConfig &&,
+                                       const Platform &) = delete;
 
 /** One registered lint rule. */
 struct LintRuleEntry

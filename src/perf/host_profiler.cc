@@ -86,11 +86,8 @@ HostProfiler::onCycle()
 }
 
 void
-HostProfiler::emitCountersMaybe(TraceSink &sink, Cycle cycle)
+HostProfiler::emitCounters(TraceSink &sink, Cycle cycle)
 {
-    if (++_samplesSinceEmit < kTraceEmitSamples)
-        return;
-    _samplesSinceEmit = 0;
     _emittedNs.resize(_components.size(), 0);
     for (std::size_t i = 0; i < _components.size(); ++i) {
         const u64 ns = _components[i].ns;

@@ -102,13 +102,14 @@ class HostProfiler
     }
 
     /**
-     * Every kTraceEmitSamples measured cycles, emit one counter sample
-     * per active component into @p sink (category "host", tracks named
-     * "host/<component>", value = microseconds spent since the last
-     * emission). Lets Perfetto line host-time up under the simulated
+     * Emit one counter sample per component that measured time since
+     * the last emission into @p sink (category "host", tracks named
+     * "host/<component>", value = microseconds since the last
+     * emission). The simulator calls it at every sampling window while
+     * tracing, so Perfetto lines host time up under the simulated
      * timeline.
      */
-    void emitCountersMaybe(TraceSink &sink, Cycle cycle);
+    void emitCounters(TraceSink &sink, Cycle cycle);
 
     // ---- results ---------------------------------------------------
 
@@ -170,7 +171,6 @@ class HostProfiler
     void writeJson(std::ostream &os) const;
 
     static constexpr std::size_t kMaxHeartbeatPoints = 512;
-    static constexpr u64 kTraceEmitSamples = 64;
 
   private:
     Mode _mode;
@@ -181,7 +181,6 @@ class HostProfiler
     u64 _sampledCycles = 0;
     u64 _totalNs = 0;
     u64 _startNs;
-    u64 _samplesSinceEmit = 0;
     u32 _commitId = 0;
     std::vector<Component> _components;
     std::map<std::string, u32> _byName;

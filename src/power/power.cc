@@ -8,21 +8,26 @@
 namespace beethoven
 {
 
-void
-PowerMeter::resetWindow(const PowerLedger *ledger, Cycle cycle)
+PowerMeter::PowerMeter()
 {
+    _report.windowCycles = static_cast<double>(Simulator::kSampleWindow);
+}
+
+void
+PowerMeter::adopt(const PowerLedger *ledger)
+{
+    // A ledger holds no energy at cycle 0: no static time has elapsed
+    // and no activity counter has moved. So the baselines are zero,
+    // however late the meter first sees the ledger.
     _ledger = ledger;
-    _lastSampleCycle = cycle;
+    _lastSampleCycle = 0;
     _lastJoules.assign(ledger->numComponents(), 0.0);
     _peakWatts.assign(ledger->numComponents(), 0.0);
-    for (std::size_t i = 0; i < ledger->numComponents(); ++i)
-        _lastJoules[i] = ledger->componentJoules(i, cycle);
-    _lastTotalJoules = ledger->totalJoules(cycle);
+    _lastTotalJoules = 0.0;
     _peakTotalWatts = 0.0;
-    _runStartCycle = cycle;
+    _runStartCycle = 0;
     _runStartJoules = _lastJoules;
-    _runStartTotalJoules = _lastTotalJoules;
-    _report.windowCycles = static_cast<double>(_windowCycles);
+    _runStartTotalJoules = 0.0;
 }
 
 void
@@ -31,10 +36,8 @@ PowerMeter::markRunStart(Simulator &sim)
     const PowerLedger *ledger = sim.powerLedger();
     if (ledger == nullptr)
         return;
-    if (ledger != _ledger) {
-        resetWindow(ledger, sim.cycle());
-        return;
-    }
+    if (ledger != _ledger)
+        adopt(ledger);
     const Cycle cycle = sim.cycle();
     _runStartCycle = cycle;
     _runStartJoules.resize(ledger->numComponents());
@@ -44,40 +47,38 @@ PowerMeter::markRunStart(Simulator &sim)
 }
 
 void
-PowerMeter::onCycle(Simulator &sim)
+PowerMeter::sample(Simulator &sim)
 {
     const PowerLedger *ledger = sim.powerLedger();
     if (ledger == nullptr)
         return;
     if (ledger != _ledger)
-        resetWindow(ledger, sim.cycle());
+        adopt(ledger);
     const Cycle cycle = sim.cycle();
-    if (cycle - _lastSampleCycle < _windowCycles)
-        return;
     const double dt =
         ledger->seconds(cycle) - ledger->seconds(_lastSampleCycle);
     if (dt <= 0.0) {
         _lastSampleCycle = cycle;
         return;
     }
+    TraceSink *ts = sim.trace();
     for (std::size_t i = 0; i < ledger->numComponents(); ++i) {
         const double j = ledger->componentJoules(i, cycle);
         const double w = (j - _lastJoules[i]) / dt;
         _lastJoules[i] = j;
         if (w > _peakWatts[i])
             _peakWatts[i] = w;
-        if (_trace != nullptr)
-            _trace->counter("power",
-                            "power/" + ledger->component(i).name, cycle,
-                            w);
+        if (ts != nullptr)
+            ts->counter("power", "power/" + ledger->component(i).name,
+                        cycle, w);
     }
     const double tj = ledger->totalJoules(cycle);
     const double tw = (tj - _lastTotalJoules) / dt;
     _lastTotalJoules = tj;
     if (tw > _peakTotalWatts)
         _peakTotalWatts = tw;
-    if (_trace != nullptr)
-        _trace->counter("power", "power/soc", cycle, tw);
+    if (ts != nullptr)
+        ts->counter("power", "power/soc", cycle, tw);
     _lastSampleCycle = cycle;
 }
 
@@ -89,7 +90,7 @@ PowerMeter::recordRun(Simulator &sim, const std::string &label,
     if (ledger == nullptr)
         return;
     if (ledger != _ledger)
-        resetWindow(ledger, 0);
+        adopt(ledger);
     const Cycle cycle = sim.cycle();
     const Cycle run_cycles = cycle - _runStartCycle;
     const double secs =
@@ -129,12 +130,7 @@ PowerMeter::recordRun(Simulator &sim, const std::string &label,
     _report.runs.push_back(std::move(r));
 
     // The next labeled run accounts from here.
-    _runStartCycle = cycle;
-    if (_runStartJoules.size() != ledger->numComponents())
-        _runStartJoules.resize(ledger->numComponents());
-    for (std::size_t i = 0; i < ledger->numComponents(); ++i)
-        _runStartJoules[i] = ledger->componentJoules(i, cycle);
-    _runStartTotalJoules = ledger->totalJoules(cycle);
+    markRunStart(sim);
 }
 
 void

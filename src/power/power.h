@@ -14,9 +14,10 @@
  *    approximate — tests assert on it bit-for-bit.
  *
  *  - PowerMeter: a Simulator attachment (like TraceSink/HostProfiler)
- *    that samples the ledger every windowCycles, emits "power"
- *    counter-tracks into a Chrome trace, tracks per-component peaks,
- *    and snapshots labeled runs into a beethoven-power-1 report.
+ *    that samples the ledger at every Simulator::kSampleWindow
+ *    boundary, emits "power" counter-tracks into the simulator's
+ *    attached TraceSink, tracks per-component peaks, and snapshots
+ *    labeled runs into a beethoven-power-1 report.
  *    It writes nothing into the simulator's stats tree, so the stats
  *    digest is bit-identical with or without a meter attached.
  *
@@ -38,8 +39,6 @@
 
 namespace beethoven
 {
-
-class TraceSink;
 
 /**
  * The per-component energy decomposition of one elaborated SoC.
@@ -134,29 +133,21 @@ class PowerLedger
 
 /**
  * Simulator attachment that samples a PowerLedger into power traces
- * and a beethoven-power-1 report. Null-guarded like the other
- * attachments: with no meter attached, step() pays one pointer check.
+ * and a beethoven-power-1 report. The meter opens a ledger's first
+ * record and window at cycle 0, wherever it first sees the ledger.
  */
 class PowerMeter
 {
   public:
-    /** @p window_cycles: cycles between samples (the overhead knob). */
-    explicit PowerMeter(Cycle window_cycles = 1024)
-        : _windowCycles(window_cycles == 0 ? 1 : window_cycles)
-    {
-    }
-
-    /** Sink for "power" counter-tracks (not owned); nullptr = none. */
-    void attachTrace(TraceSink *sink) { _trace = sink; }
-
-    Cycle windowCycles() const { return _windowCycles; }
+    PowerMeter();
 
     /**
-     * Called by Simulator::step() after the cycle advances. Samples
-     * the attached ledger every windowCycles; no-op (and cheap) when
-     * the simulator has no ledger.
+     * Called by Simulator::step() at every window boundary: record the
+     * per-component watts over the window just closed, update peaks,
+     * and emit "power" counter-tracks into sim.trace() when a sink is
+     * attached. No-op when the simulator has no ledger.
      */
-    void onCycle(Simulator &sim);
+    void sample(Simulator &sim);
 
     /**
      * Start a new accounting interval: energy accrued before this
@@ -169,8 +160,8 @@ class PowerMeter
 
     /**
      * Snapshot the simulator's ledger into a labeled run record
-     * covering the interval since the last markRunStart (or since the
-     * ledger was first seen), then start the next interval here.
+     * covering the interval since the last markRunStart (or since
+     * cycle 0), then start the next interval here.
      * @p ops = 0 means the bench reports no operation count.
      */
     void recordRun(Simulator &sim, const std::string &label,
@@ -187,10 +178,9 @@ class PowerMeter
     }
 
   private:
-    void resetWindow(const PowerLedger *ledger, Cycle cycle);
+    /** Start metering @p ledger: window and run record open at 0. */
+    void adopt(const PowerLedger *ledger);
 
-    Cycle _windowCycles;
-    TraceSink *_trace = nullptr;
     PowerReport _report;
 
     // Sampling state for the current ledger.

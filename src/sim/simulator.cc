@@ -243,19 +243,12 @@ Simulator::step()
         const u64 t_end = hostNowNs();
         _hostProf->add(_hostProf->commitComponentId(), t_end - t_prev);
         _hostProf->addTotal(t_end - t_start);
-        if (_trace != nullptr)
-            _hostProf->emitCountersMaybe(*_trace, _cycle);
     }
 
     ++_cycle;
     ++g_simCycles;
-    if (_powerMeter != nullptr)
-        _powerMeter->onCycle(*this);
-    if (_trace != nullptr && !_stallAccounts.empty() &&
-        _cycle % kStallEmitPeriod == 0) {
-        for (StallAccount *a : _stallAccounts)
-            a->emitCounters(*_trace, _cycle);
-    }
+    if ((_cycle & (kSampleWindow - 1)) == 0)
+        sampleWindow();
     if (!_invariants.empty() && _cycle % kInvariantPeriod == 0)
         checkInvariants();
     if (_watchdogLimit != 0 && _cycle - _lastProgress > _watchdogLimit) {
@@ -265,6 +258,21 @@ Simulator::step()
               static_cast<unsigned long long>(_cycle - _lastProgress),
               static_cast<unsigned long long>(_cycle));
     }
+}
+
+void
+Simulator::sampleWindow()
+{
+    if (_powerMeter != nullptr)
+        _powerMeter->sample(*this);
+    if (_trace == nullptr)
+        return;
+    for (StallAccount *a : _stallAccounts)
+        a->emitCounters(*_trace, _cycle);
+    if (_hostProf != nullptr)
+        _hostProf->emitCounters(*_trace, _cycle);
+    for (const CounterSampler &fn : _counterSamplers)
+        fn(*_trace, _cycle);
 }
 
 void

@@ -158,6 +158,18 @@ class Simulator
         _statFolders.push_back(std::move(fn));
     }
 
+    using CounterSampler = std::function<void(TraceSink &, Cycle)>;
+
+    /**
+     * Register a callback that emits counter samples (e.g. per-link NoC
+     * occupancy) into the attached TraceSink. Run at every sampling
+     * window boundary while a sink is attached; never run otherwise.
+     */
+    void addCounterSampler(CounterSampler fn)
+    {
+        _counterSamplers.push_back(std::move(fn));
+    }
+
     /**
      * Wake @p m so it observes an event staged this cycle. Mirrors the
      * tick kernel's visibility exactly: a module at or before the
@@ -290,8 +302,10 @@ class Simulator
     /**
      * Attached event sink, or nullptr (the default). Instrumented
      * modules guard every record with this pointer, so simulation
-     * without a sink pays only the null check. The sink is not owned
-     * and must outlive its attachment.
+     * without a sink pays only the null check. While a sink is
+     * attached, every window boundary also emits the stall, host and
+     * registered counter samples into it. The sink is not owned and
+     * must outlive its attachment.
      */
     TraceSink *trace() const { return _trace; }
     void attachTrace(TraceSink *sink) { _trace = sink; }
@@ -305,7 +319,6 @@ class Simulator
      * check per step. Not owned; must outlive its attachment.
      * Detaching (nullptr) is allowed between runs.
      */
-    HostProfiler *hostProfiler() const { return _hostProf; }
     void attachHostProfiler(HostProfiler *prof)
     {
         _hostProf = prof;
@@ -325,18 +338,28 @@ class Simulator
 
     /**
      * Attached power meter, or nullptr (the default). When attached,
-     * step() offers every completed cycle to the meter, which samples
-     * the ledger on its own window; when null, the only cost is one
-     * pointer check per step. Not owned; must outlive its attachment.
+     * the meter samples the ledger at every window boundary. Not
+     * owned; must outlive its attachment.
      */
-    PowerMeter *powerMeter() const { return _powerMeter; }
     void attachPowerMeter(PowerMeter *meter) { _powerMeter = meter; }
+
+    /**
+     * Cycles in one sampling window. At every multiple of it, after the
+     * cycle advances, step() samples the attached PowerMeter and, while
+     * a TraceSink is attached, emits the stall, host-profiler and
+     * registered counter samples. A power of two, so the boundary test
+     * is one mask.
+     */
+    static constexpr Cycle kSampleWindow = 1024;
 
     std::size_t numModules() const { return _modules.size(); }
 
   private:
     /** Wheel-arm a wake with dedup and planted-fault accounting. */
     void scheduleWake(Module *m, Cycle at) BTH_REQUIRES(gSimThreadRole);
+
+    /** The window-boundary work described at kSampleWindow. */
+    void sampleWindow();
 
     Cycle _cycle = 0;
     SimKernel _kernel = SimKernel::Event;
@@ -363,6 +386,7 @@ class Simulator
     std::vector<std::function<void(std::ostream &)>> _hangDumpers;
     std::vector<Invariant *> _invariants;
     std::vector<std::function<void()>> _statFolders;
+    std::vector<CounterSampler> _counterSamplers;
 
     /**
      * Registration-time metadata for the static analyzer; cold after
@@ -371,8 +395,8 @@ class Simulator
      */
     SimGraphRecord _graph;
 
-    /** Cycles between stall counter-track emissions while tracing. */
-    static constexpr Cycle kStallEmitPeriod = 1024;
+    static_assert((kSampleWindow & (kSampleWindow - 1)) == 0,
+                  "the window boundary test is a mask");
 
     /** Cycles between periodic invariant checks. */
     static constexpr Cycle kInvariantPeriod = 256;

@@ -179,10 +179,6 @@ TraceSink::writeSummary(std::ostream &os) const
     bool any = false;
     for (const Event &e : _events) {
         ++per_cat[e.cat];
-        if (e.kind != Kind::Counter)
-            ++per_track[_trackNames.empty()
-                            ? std::string("?")
-                            : std::string()]; // replaced below
         if (!any) {
             lo = e.start;
             hi = e.start + e.dur;
@@ -191,9 +187,6 @@ TraceSink::writeSummary(std::ostream &os) const
             lo = std::min(lo, e.start);
             hi = std::max(hi, e.start + e.dur);
         }
-    }
-    per_track.clear();
-    for (const Event &e : _events) {
         if (e.kind == Kind::Counter)
             continue;
         for (const auto &[key, name] : _trackNames) {
@@ -273,52 +266,6 @@ TraceSink::writeProfile(std::ostream &os) const
            << (run > 0 ? 100.0 * static_cast<double>(agg.total) / run
                        : 0.0)
            << "%\n";
-    }
-}
-
-TraceProbe::TraceProbe(Simulator &sim, std::string name, Cycle period)
-    : Module(sim, std::move(name)), _period(std::max<Cycle>(1, period))
-{
-    declareRole("probe");
-}
-
-void
-TraceProbe::addBusyTrack(std::string track,
-                         std::function<std::size_t()> occupancy)
-{
-    beethoven_assert(occupancy != nullptr, "busy track %s: null hook",
-                     track.c_str());
-    _busy.push_back({std::move(track), std::move(occupancy), false, 0});
-}
-
-void
-TraceProbe::addCounterSampler(CounterFn fn)
-{
-    beethoven_assert(fn != nullptr, "null counter sampler");
-    _samplers.push_back(std::move(fn));
-}
-
-void
-TraceProbe::tick()
-{
-    TraceSink *ts = sim().trace();
-    if (ts == nullptr)
-        return;
-    const Cycle now = sim().cycle();
-    for (BusyTrack &b : _busy) {
-        const std::size_t occ = b.occupancy();
-        if (occ > 0 && !b.busy) {
-            b.busy = true;
-            b.busySince = now;
-        } else if (occ == 0 && b.busy) {
-            b.busy = false;
-            ts->span("noc", b.track + ".busy", b.track, b.busySince,
-                     now);
-        }
-    }
-    if (now % _period == 0) {
-        for (const CounterFn &fn : _samplers)
-            fn(*ts, now);
     }
 }
 

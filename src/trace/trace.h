@@ -16,7 +16,7 @@
  * un-traced hot path costs one pointer load and branch.
  *
  * Tracks model Perfetto threads: one lane per module (a reader, an
- * AXI ID, a NoC tree). Each attach-point can open a new process scope
+ * AXI ID). Each attach-point can open a new process scope
  * (beginProcess) so multiple simulated SoCs in one bench render as
  * separate process groups instead of overlapping lanes.
  */
@@ -24,7 +24,6 @@
 #ifndef BEETHOVEN_TRACE_TRACE_H
 #define BEETHOVEN_TRACE_TRACE_H
 
-#include <functional>
 #include <initializer_list>
 #include <map>
 #include <ostream>
@@ -34,8 +33,6 @@
 #include <vector>
 
 #include "base/types.h"
-#include "sim/module.h"
-#include "sim/simulator.h"
 
 namespace beethoven
 {
@@ -131,49 +128,6 @@ class TraceSink
     std::vector<Event> _events;
     std::size_t _maxEvents = 4'000'000;
     std::size_t _dropped = 0;
-};
-
-/**
- * A Module that feeds a Simulator's attached TraceSink with periodic
- * counter samples and busy-interval spans from registered occupancy
- * hooks (type-erased, so templated NoC trees can register without the
- * probe knowing their flit types). Does nothing — beyond one branch
- * per cycle — when no sink is attached.
- */
-class TraceProbe : public Module
-{
-  public:
-    using CounterFn = std::function<void(TraceSink &, Cycle)>;
-
-    TraceProbe(Simulator &sim, std::string name, Cycle period = 32);
-
-    /**
-     * Emit a span on @p track covering every interval during which
-     * @p occupancy stays above zero (sampled every cycle while a sink
-     * is attached).
-     */
-    void addBusyTrack(std::string track,
-                      std::function<std::size_t()> occupancy);
-
-    /** Invoke @p fn every sampling period to emit counter events. */
-    void addCounterSampler(CounterFn fn);
-
-    Cycle period() const { return _period; }
-
-    void tick() override;
-
-  private:
-    struct BusyTrack
-    {
-        std::string track;
-        std::function<std::size_t()> occupancy;
-        bool busy = false;
-        Cycle busySince = 0;
-    };
-
-    Cycle _period;
-    std::vector<BusyTrack> _busy;
-    std::vector<CounterFn> _samplers;
 };
 
 } // namespace beethoven

@@ -263,8 +263,9 @@ TEST(SocAnalysis, CensusMatchesCompositionModel)
     // the role-count skew (positive case for BTH106).
     FuzzCase bigger = memcpyCase();
     bigger.systems[0].nCores = 2;
-    const auto model = lint::buildCompositionModel(
-        verify::buildAcceleratorConfig(bigger), platform);
+    const AcceleratorConfig bigger_config =
+        verify::buildAcceleratorConfig(bigger);
+    const auto model = lint::buildCompositionModel(bigger_config, platform);
     const analysis::SimGraph g = analysis::buildSimGraph(soc.sim());
     EXPECT_TRUE(analysis::analyzeGraph(g, &model).has("BTH106"));
 }

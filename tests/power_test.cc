@@ -31,9 +31,12 @@ namespace beethoven
 namespace
 {
 
-/** Run the canonical two-core vecadd workload on @p soc. */
+/**
+ * Run the canonical two-core vecadd workload on @p soc, then let it
+ * idle for @p idle_cycles while the runtime is still attached.
+ */
 void
-runVecAdd(AcceleratorSoc &soc, u64 seed)
+runVecAdd(AcceleratorSoc &soc, u64 seed, Cycle idle_cycles = 0)
 {
     RuntimeServer server(soc);
     fpga_handle_t handle(server);
@@ -56,6 +59,7 @@ runVecAdd(AcceleratorSoc &soc, u64 seed)
     }
     for (auto &h : handles)
         h.get();
+    soc.sim().run(idle_cycles);
 }
 
 double
@@ -152,7 +156,7 @@ TEST(PowerLedger, PerSlrAggregationMatchesFloorplanPlacement)
     // A recorded run's per-SLR watts are exactly the per-component
     // watts regrouped by SLR.
     soc.sim().run(4096);
-    PowerMeter meter(1024);
+    PowerMeter meter;
     soc.sim().attachPowerMeter(&meter);
     meter.recordRun(soc.sim(), "slr-agg");
     ASSERT_EQ(meter.runs().size(), 1u);
@@ -181,15 +185,42 @@ TEST(PowerMeter, EmitsWindowedCounterTracks)
     AcceleratorSoc soc(AcceleratorConfig(VecAddCore::systemConfig(1)),
                        platform);
     TraceSink sink;
-    PowerMeter meter(256);
-    meter.attachTrace(&sink);
+    PowerMeter meter;
+    soc.sim().attachTrace(&sink);
     soc.sim().attachPowerMeter(&meter);
-    soc.sim().run(1024);
-    // The meter baselines itself on its first onCycle (cycle 1), so a
-    // 1024-cycle run with a 256-cycle window samples at cycles 257,
-    // 513 and 769: three windows of (components + soc total) tracks.
+    soc.sim().run(3 * Simulator::kSampleWindow + 100);
+    // The window boundaries at cycles 1024, 2048 and 3072 each put
+    // (components + soc total) power tracks into the simulator's sink,
+    // next to its stall and NoC counters.
+    std::ostringstream os;
+    sink.writeChromeTrace(os);
+    const JsonValue root = parseJson(os.str());
+    std::size_t power_events = 0;
+    for (const JsonValue &e : root.find("traceEvents")->array) {
+        const JsonValue *cat = e.find("cat");
+        power_events += cat != nullptr && cat->string == "power" ? 1 : 0;
+    }
     const std::size_t per_window = soc.power().numComponents() + 1;
-    EXPECT_EQ(sink.numEvents(), 3 * per_window);
+    EXPECT_EQ(power_events, 3 * per_window);
+}
+
+TEST(PowerMeter, RunRecordCoversEveryCycle)
+{
+    SimulationPlatform platform;
+    AcceleratorSoc soc(AcceleratorConfig(VecAddCore::systemConfig(2)),
+                       platform);
+    PowerMeter meter;
+    soc.sim().attachPowerMeter(&meter);
+    // Idle past a window boundary: the meter first sees the ledger
+    // when it samples at cycle 1024, after the vecadd work is done.
+    runVecAdd(soc, 0xC1C1E, Simulator::kSampleWindow);
+    meter.recordRun(soc.sim(), "vecadd");
+    ASSERT_EQ(meter.runs().size(), 1u);
+    // The record still opens at cycle 0, like the stats tree's
+    // "cycles", and so holds all of the ledger's energy.
+    const Cycle end = soc.sim().cycle();
+    EXPECT_EQ(meter.runs()[0].cycles, static_cast<double>(end));
+    EXPECT_EQ(meter.runs()[0].joules, soc.power().totalJoules(end));
 }
 
 TEST(PowerMeter, RecordRunCapturesEnergyPerOp)
@@ -223,17 +254,19 @@ TEST(PowerJson, SchemaRoundTripIsExact)
     SimulationPlatform platform;
     AcceleratorSoc soc(AcceleratorConfig(VecAddCore::systemConfig(2)),
                        platform);
-    PowerMeter meter(512);
+    PowerMeter meter;
     soc.sim().attachPowerMeter(&meter);
     runVecAdd(soc, 0xF00D);
     meter.recordRun(soc.sim(), "rt", /*ops=*/256.0);
     meter.addReference("GPU (paper)", 320.0, 5.0e6);
 
+    // A window other than the parser's default proves it round-trips.
+    PowerReport orig = meter.report();
+    orig.windowCycles = 512.0;
     std::ostringstream os;
-    writePowerReportJson(os, meter.report());
+    writePowerReportJson(os, orig);
     const PowerReport parsed = parsePowerReport(parseJson(os.str()));
 
-    const PowerReport &orig = meter.report();
     EXPECT_EQ(parsed.windowCycles, 512.0);
     ASSERT_EQ(parsed.runs.size(), orig.runs.size());
     for (std::size_t i = 0; i < orig.runs.size(); ++i) {
@@ -282,18 +315,18 @@ vecAddStatsDigest(u64 seed, bool with_meter)
     SimulationPlatform platform;
     AcceleratorSoc soc(AcceleratorConfig(VecAddCore::systemConfig(2)),
                        platform);
-    // A small window so even this short run crosses several samples.
     TraceSink power_sink;
-    PowerMeter meter(16);
+    PowerMeter meter;
     if (with_meter) {
-        meter.attachTrace(&power_sink);
+        soc.sim().attachTrace(&power_sink);
         soc.sim().attachPowerMeter(&meter);
     }
-    runVecAdd(soc, seed);
+    // Idle on past two window boundaries so the meter samples.
+    runVecAdd(soc, seed, 2 * Simulator::kSampleWindow);
     if (with_meter) {
         meter.recordRun(soc.sim(), "digest", 256.0);
         // The meter really sampled the run.
-        EXPECT_GT(power_sink.numEvents(), 0u);
+        EXPECT_TRUE(power_sink.hasCategory("power"));
     }
     soc.sim().publishStallStats();
     std::ostringstream os;

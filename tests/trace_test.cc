@@ -2,13 +2,14 @@
  * @file
  * Tests for the tracing subsystem: span/instant/counter recording,
  * Chrome trace_event serialization (validated by parsing it back),
- * process/track bookkeeping, the event cap, and the TraceProbe's
- * busy-interval and counter sampling.
+ * process/track bookkeeping, the event cap, and the simulator's
+ * per-window counter sampling.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "base/json.h"
 #include "sim/simulator.h"
@@ -177,53 +178,26 @@ TEST(Simulator, TraceDefaultsToNull)
     EXPECT_EQ(sim.trace(), &sink);
 }
 
-TEST(TraceProbe, InertWithoutSink)
+TEST(Simulator, CounterSamplersRunPerWindowOnlyWhileTracing)
 {
-    Simulator sim;
-    TraceProbe probe(sim, "probe", 1);
-    std::size_t calls = 0;
-    probe.addBusyTrack("q", [&] {
-        ++calls;
-        return std::size_t(1);
-    });
-    sim.run(10);
-    // The null-sink fast path never evaluates the occupancy hook.
-    EXPECT_EQ(calls, 0u);
-}
+    std::vector<Cycle> untraced_calls;
+    Simulator untraced;
+    untraced.addCounterSampler(
+        [&](TraceSink &, Cycle at) { untraced_calls.push_back(at); });
+    untraced.run(2100);
+    EXPECT_TRUE(untraced_calls.empty());
 
-TEST(TraceProbe, EmitsBusySpansAndCounterSamples)
-{
+    std::vector<Cycle> calls;
     Simulator sim;
     TraceSink sink;
     sim.attachTrace(&sink);
-    TraceProbe probe(sim, "probe", 4);
-    std::size_t occ = 0;
-    probe.addBusyTrack("q", [&] { return occ; });
-    probe.addCounterSampler([&](TraceSink &ts, Cycle at) {
-        ts.counter("noc", "q.occ", at, double(occ));
+    sim.addCounterSampler([&](TraceSink &ts, Cycle at) {
+        calls.push_back(at);
+        ts.counter("noc", "q.occ", at, 1.0);
     });
-
-    sim.run(2); // idle: cycles 0-1
-    occ = 3;
-    sim.run(5); // busy: cycles 2-6
-    occ = 0;
-    sim.run(3); // idle again; the busy interval closes at cycle 7
-
-    const JsonValue events = parsedEvents(sink);
-    const JsonValue *busy = findByName(events, "q.busy");
-    ASSERT_NE(busy, nullptr);
-    EXPECT_EQ(busy->find("cat")->string, "noc");
-    EXPECT_DOUBLE_EQ(busy->find("ts")->number, 2.0);
-    EXPECT_DOUBLE_EQ(busy->find("dur")->number, 5.0);
-
-    // Counter samples land every period (cycles 0, 4, 8).
-    unsigned samples = 0;
-    for (const JsonValue &e : events.array) {
-        const JsonValue *ph = e.find("ph");
-        if (ph != nullptr && ph->string == "C")
-            ++samples;
-    }
-    EXPECT_EQ(samples, 3u);
+    sim.run(2100);
+    EXPECT_EQ(calls, (std::vector<Cycle>{1024, 2048}));
+    EXPECT_EQ(sink.numEvents(), 2u);
 }
 
 } // namespace

@@ -6,12 +6,12 @@
  * Usage: json_check [options] file [[options] file ...]
  *
  * Options apply to the NEXT file argument:
- *   --require-categories=a,b,..  the file must be a Chrome trace whose
- *                                events cover every listed category
- *                                with at least one nonzero-duration
- *                                span per category (counter-only
- *                                categories like "noc" may instead
- *                                show any event)
+ *   --require-categories=a,b,..  the file must be a Chrome trace with
+ *                                at least one event in every listed
+ *                                category (counter-only categories
+ *                                like "noc" or "power" pass on any
+ *                                event) and at least one
+ *                                nonzero-duration span overall
  *   --require-key=KEY            some object in the file must contain
  *                                KEY (e.g. "p95" for stats exports)
  */
@@ -58,9 +58,8 @@ checkCategories(const JsonValue &root, const std::string &csv,
         std::fprintf(stderr, "%s: no traceEvents array\n", path.c_str());
         return false;
     }
-    std::set<std::string> seen;          // any event
-    std::set<std::string> seen_spans;    // nonzero-duration spans
-    std::set<std::string> seen_counters; // "C" (counter) events
+    std::set<std::string> seen; // any event
+    bool any_span = false;      // a nonzero-duration span
     for (const JsonValue &e : events->array) {
         const JsonValue *cat = e.find("cat");
         if (cat == nullptr || !cat->isString())
@@ -70,34 +69,19 @@ checkCategories(const JsonValue &root, const std::string &csv,
         const JsonValue *dur = e.find("dur");
         if (ph != nullptr && ph->isString() && ph->string == "X" &&
             dur != nullptr && dur->number > 0)
-            seen_spans.insert(cat->string);
-        if (ph != nullptr && ph->isString() && ph->string == "C")
-            seen_counters.insert(cat->string);
+            any_span = true;
     }
     bool ok = true;
-    bool all_counters = true;
     std::stringstream ss(csv);
     std::string want;
     while (std::getline(ss, want, ',')) {
-        if (want.empty())
+        if (want.empty() || seen.count(want))
             continue;
-        if (!seen_counters.count(want))
-            all_counters = false;
-        if (seen_spans.count(want))
-            continue;
-        if (seen.count(want)) {
-            // Counter-only categories pass on presence; still demand
-            // that *some* category has real spans overall.
-            continue;
-        }
         std::fprintf(stderr, "%s: no events in category '%s'\n",
                      path.c_str(), want.c_str());
         ok = false;
     }
-    // Counter-track files (e.g. --power-trace output) legitimately
-    // contain no spans; only demand spans when a required category is
-    // not itself a counter track.
-    if (ok && seen_spans.empty() && !all_counters) {
+    if (ok && !any_span) {
         std::fprintf(stderr, "%s: no nonzero-duration spans at all\n",
                      path.c_str());
         ok = false;

@@ -49,11 +49,7 @@ copyCycles(const Platform &platform, const MemcpyCore::Variant &variant,
     AcceleratorSoc soc(std::move(cfg), platform);
     RuntimeServer server(soc);
     fpga_handle_t handle(server);
-    if (TraceSink *sink = cli.sink()) {
-        sink->beginProcess(label);
-        soc.sim().attachTrace(sink);
-    }
-    cli.instrument(soc.sim());
+    cli.instrument(soc.sim(), label);
     remote_ptr src = handle.malloc(len);
     remote_ptr dst = handle.malloc(len);
     for (u64 i = 0; i < len; ++i)

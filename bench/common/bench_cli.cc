@@ -1,21 +1,19 @@
 #include "common/bench_cli.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
+#include "base/decimal.h"
 #include "base/json.h"
-#include "base/log.h"
 #include "perf/host_clock.h"
 #include "perf/host_profiler.h"
 #include "perf/kpi.h"
 #include "power/power.h"
 #include "sim/simulator.h"
-#include "trace/bottleneck.h"
-#include "verify/invariants.h"
 
 namespace beethoven
 {
@@ -23,7 +21,7 @@ namespace beethoven
 namespace
 {
 
-/** argv[0] without directories, for the perf-json bench field. */
+/** argv[0] without directories, for messages and the perf-json. */
 std::string
 benchBasename(const char *argv0)
 {
@@ -32,52 +30,44 @@ benchBasename(const char *argv0)
     return slash == std::string::npos ? s : s.substr(slash + 1);
 }
 
-/**
- * Parse a --host-profile mode spec: "" (bare flag) and "sample:N"
- * select sampling, "scoped" measures every cycle. Anything else is a
- * usage error (exit 2, consistent with bad output paths).
- */
-std::unique_ptr<HostProfiler>
-makeProfiler(const std::string &spec)
+/** The rest of @p arg after @p prefix, if @p arg starts with it. */
+std::optional<std::string_view>
+flagValue(std::string_view arg, std::string_view prefix)
 {
-    if (spec.empty())
-        return std::make_unique<HostProfiler>(
-            HostProfiler::Mode::Sampling);
-    if (spec == "scoped")
-        return std::make_unique<HostProfiler>(
-            HostProfiler::Mode::Scoped);
-    if (spec.rfind("sample:", 0) == 0) {
-        const unsigned long n =
-            std::strtoul(spec.c_str() + 7, nullptr, 10);
-        if (n >= 1)
-            return std::make_unique<HostProfiler>(
-                HostProfiler::Mode::Sampling, static_cast<u32>(n));
-    }
-    std::cerr << "bad --host-profile mode '" << spec
-              << "' (expected scoped or sample:N)\n";
+    if (!arg.starts_with(prefix))
+        return std::nullopt;
+    return arg.substr(prefix.size());
+}
+
+/** Print @p parts as one stderr line and exit 2 (usage error). */
+template <typename... Parts>
+[[noreturn]] void
+usageError(const Parts &...parts)
+{
+    (std::cerr << ... << parts) << "\n";
     std::exit(2);
 }
 
 /**
- * The value of a count flag (--watchdog=N): all decimal digits, or a
- * usage error (exit 2) naming @p flag.
+ * Open @p path and write it through @p body. @return false, after
+ * saying so on stderr, when the file cannot be opened.
  */
-u64
-parseCount(const char *flag, const char *value)
+template <typename Body>
+bool
+writeOutput(const std::string &path, const char *what, Body &&body)
 {
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(value, &end, 10);
-    if (*value < '0' || *value > '9' || *end != '\0') {
-        std::cerr << "bad " << flag << " value '" << value
-                  << "' (expected a decimal count)\n";
-        std::exit(2);
+    std::ofstream f(path);
+    if (!f) {
+        std::cerr << "cannot open " << what << " file " << path << "\n";
+        return false;
     }
-    return n;
+    body(f);
+    return true;
 }
 
 } // namespace
 
-BenchCli::BenchCli(int &argc, char **argv)
+BenchCli::BenchCli(int argc, char **argv)
     : _benchName(benchBasename(argc > 0 ? argv[0] : nullptr)),
       _startNs(hostNowNs())
 {
@@ -91,66 +81,50 @@ BenchCli::BenchCli(int &argc, char **argv)
     } outputs[] = {
         {"--trace=", &_tracePath, "trace"},
         {"--stats-json=", &_statsPath, "stats"},
-        {"--stall-report=", &_stallReportPath, "stall report"},
         {"--perf-json=", &_perfPath, "perf json"},
         {"--power-json=", &_powerJsonPath, "power json"},
     };
 
-    bool host_profile = false;
-    std::string profile_spec;
-    int out = 1;
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        bool is_output = false;
-        for (const auto &o : outputs) {
-            const std::size_t n = std::strlen(o.flag);
-            if (std::strncmp(arg, o.flag, n) != 0)
-                continue;
-            if (arg[n] == '\0') {
-                std::cerr << o.flag << " needs a file path\n";
-                std::exit(2);
-            }
-            *o.path = arg + n;
-            is_output = true;
-            break;
-        }
-        if (is_output)
-            continue;
-        if (std::strcmp(arg, "--host-profile") == 0) {
-            host_profile = true;
-        } else if (std::strncmp(arg, "--host-profile=", 15) == 0) {
-            host_profile = true;
-            profile_spec = arg + 15;
-        } else if (std::strncmp(arg, "--sim-kernel=", 13) == 0) {
-            const char *k = arg + 13;
-            if (std::strcmp(k, "event") == 0) {
-                _tickKernel = false;
-            } else if (std::strcmp(k, "tick") == 0) {
-                _tickKernel = true;
-            } else {
-                std::cerr << "bad --sim-kernel '" << k
-                          << "' (expected tick or event)\n";
-                std::exit(2);
-            }
-        } else if (std::strncmp(arg, "--watchdog=", 11) == 0) {
-            _watchdog = parseCount("--watchdog", arg + 11);
-        } else if (std::strcmp(arg, "--quick") == 0) {
+        const std::string_view arg = argv[i];
+        if (arg == "--quick") {
             _quick = true;
-        } else if (std::strcmp(arg, "--no-invariants") == 0) {
-            _invariants = false;
+        } else if (arg == "--host-profile") {
+            _profiler = std::make_unique<HostProfiler>();
+        } else if (const auto k = flagValue(arg, "--sim-kernel=")) {
+            if (*k != "tick" && *k != "event")
+                usageError(_benchName, ": bad --sim-kernel '", *k,
+                           "' (expected tick or event)");
+            _tickKernel = *k == "tick";
+        } else if (const auto n = flagValue(arg, "--watchdog=")) {
+            const std::optional<u64> cycles = parseDecimal(*n);
+            if (!cycles)
+                usageError(_benchName, ": bad --watchdog value '", *n,
+                           "' (expected a 64-bit decimal count)");
+            _watchdog = *cycles;
         } else {
-            argv[out++] = argv[i];
+            bool matched = false;
+            for (const auto &o : outputs) {
+                const auto path = flagValue(arg, o.flag);
+                if (!path)
+                    continue;
+                if (path->empty())
+                    usageError(_benchName, ": ", o.flag,
+                               " needs a file path");
+                *o.path = *path;
+                matched = true;
+                break;
+            }
+            if (!matched)
+                usageError(
+                    _benchName, ": unknown argument '", arg,
+                    "'\nusage: ", _benchName,
+                    " [--quick] [--trace=FILE] [--stats-json=FILE]"
+                    " [--watchdog=N] [--sim-kernel=tick|event]"
+                    " [--perf-json=FILE] [--host-profile]"
+                    " [--power-json=FILE]");
         }
     }
-    argc = out;
-    argv[argc] = nullptr;
-
-    if (host_profile)
-        _profiler = makeProfiler(profile_spec);
-    else if (!_perfPath.empty())
-        // KPIs only: heartbeat without per-component timing.
-        _profiler = std::make_unique<HostProfiler>(
-            HostProfiler::Mode::KpiOnly);
 
     // Fail unwritable output paths before any simulation runs. The
     // append-mode probe creates missing files but never truncates an
@@ -159,11 +133,9 @@ BenchCli::BenchCli(int &argc, char **argv)
         if (o.path->empty())
             continue;
         std::ofstream f(*o.path, std::ios::app);
-        if (!f) {
-            std::cerr << "cannot open " << o.what << " file " << *o.path
-                      << " for writing\n";
-            std::exit(2);
-        }
+        if (!f)
+            usageError(_benchName, ": cannot open ", o.what, " file ",
+                       *o.path, " for writing");
     }
 
     if (!_tracePath.empty())
@@ -175,51 +147,19 @@ BenchCli::BenchCli(int &argc, char **argv)
 BenchCli::~BenchCli() = default;
 
 void
-BenchCli::armWatchdog(Simulator &sim) const
+BenchCli::instrument(Simulator &sim, const std::string &label)
 {
+    if (_sink != nullptr) {
+        _sink->beginProcess(label);
+        sim.attachTrace(_sink.get());
+    }
+    sim.setKernel(_tickKernel ? SimKernel::Tick : SimKernel::Event);
     if (_watchdog != 0)
         sim.setWatchdog(_watchdog);
-}
-
-SimKernel
-BenchCli::simKernel() const
-{
-    return _tickKernel ? SimKernel::Tick : SimKernel::Event;
-}
-
-void
-BenchCli::instrument(Simulator &sim) const
-{
-    sim.setKernel(simKernel());
-    armWatchdog(sim);
     if (_profiler != nullptr)
         sim.attachHostProfiler(_profiler.get());
     if (_powerMeter != nullptr)
         sim.attachPowerMeter(_powerMeter.get());
-}
-
-std::unique_ptr<SocInvariants>
-BenchCli::armInvariants(AcceleratorSoc &soc) const
-{
-    if (!_invariants)
-        return nullptr;
-    return std::make_unique<SocInvariants>(soc);
-}
-
-void
-BenchCli::recordStats(const std::string &label, const StatGroup &stats)
-{
-    if (_statsPath.empty() && _stallReportPath.empty())
-        return;
-    std::ostringstream oss;
-    stats.dumpJson(oss);
-    _statsJson.emplace_back(label, oss.str());
-}
-
-void
-BenchCli::recordStats(const std::string &label, Simulator &sim)
-{
-    recordStats(label, sim, 0.0);
 }
 
 void
@@ -231,7 +171,11 @@ BenchCli::recordStats(const std::string &label, Simulator &sim,
     if (_powerMeter != nullptr)
         _powerMeter->recordRun(sim, label, ops);
     sim.publishStallStats();
-    recordStats(label, sim.stats());
+    if (_statsPath.empty())
+        return;
+    std::ostringstream oss;
+    sim.stats().dumpJson(oss);
+    _statsJson.emplace_back(label, oss.str());
 }
 
 void
@@ -242,92 +186,47 @@ BenchCli::addPowerReference(const std::string &label, double watts,
         _powerMeter->addReference(label, watts, ops_per_sec);
 }
 
-std::string
-BenchCli::combinedStatsJson() const
-{
-    std::ostringstream oss;
-    oss << "{";
-    bool first = true;
-    for (const auto &[label, json] : _statsJson) {
-        if (!first)
-            oss << ",\n";
-        first = false;
-        oss << jsonString(label) << ":" << json;
-    }
-    oss << "}\n";
-    return oss.str();
-}
-
 int
 BenchCli::finish()
 {
-    int rc = 0;
+    bool ok = true;
     if (_sink != nullptr) {
-        std::ofstream f(_tracePath);
-        if (!f) {
-            std::cerr << "cannot open trace file " << _tracePath << "\n";
-            rc = 1;
-        } else {
+        ok &= writeOutput(_tracePath, "trace", [this](std::ostream &f) {
             _sink->writeChromeTrace(f);
             std::cerr << "wrote " << _sink->numEvents() << " events to "
                       << _tracePath << "\n";
             _sink->writeSummary(std::cerr);
             _sink->writeProfile(std::cerr);
-        }
+        });
     }
     if (!_statsPath.empty()) {
-        std::ofstream f(_statsPath);
-        if (!f) {
-            std::cerr << "cannot open stats file " << _statsPath << "\n";
-            rc = 1;
-        } else {
-            f << combinedStatsJson();
-        }
+        ok &= writeOutput(_statsPath, "stats", [this](std::ostream &f) {
+            f << "{";
+            const char *sep = "";
+            for (const auto &[label, json] : _statsJson) {
+                f << sep << jsonString(label) << ":" << json;
+                sep = ",\n";
+            }
+            f << "}\n";
+        });
     }
     if (!_perfPath.empty()) {
-        std::ofstream f(_perfPath);
-        if (!f) {
-            std::cerr << "cannot open perf json file " << _perfPath
-                      << "\n";
-            rc = 1;
-        } else {
-            writePerfJson(f, _benchName, _quick,
-                          hostNowNs() - _startNs, globalSimCycles(),
-                          globalModuleTicks(), _profiler.get());
-        }
+        ok &= writeOutput(_perfPath, "perf json", [this](std::ostream &f) {
+            writePerfJson(f, _benchName, _quick, hostNowNs() - _startNs,
+                          globalSimCycles(), globalModuleTicks(),
+                          _profiler.get());
+        });
     }
     if (_powerMeter != nullptr) {
-        std::ofstream f(_powerJsonPath);
-        if (!f) {
-            std::cerr << "cannot open power json file " << _powerJsonPath
-                      << "\n";
-            rc = 1;
-        } else {
-            writePowerReportJson(f, _powerMeter->report());
-        }
+        ok &= writeOutput(_powerJsonPath, "power json",
+                          [this](std::ostream &f) {
+                              writePowerReportJson(f,
+                                                   _powerMeter->report());
+                          });
     }
-    if (_profiler != nullptr &&
-        _profiler->mode() != HostProfiler::Mode::KpiOnly)
+    if (_profiler != nullptr)
         _profiler->writeReport(std::cerr);
-    if (!_stallReportPath.empty()) {
-        try {
-            const std::vector<RunStallReport> runs =
-                analyzeStallStats(parseJson(combinedStatsJson()));
-            writeBottleneckTable(std::cout, runs, /*top_n=*/5);
-            std::ofstream f(_stallReportPath);
-            if (!f) {
-                std::cerr << "cannot open stall report file "
-                          << _stallReportPath << "\n";
-                rc = 1;
-            } else {
-                writeBottleneckJson(f, runs);
-            }
-        } catch (const ConfigError &e) {
-            std::cerr << "stall report failed: " << e.what() << "\n";
-            rc = 1;
-        }
-    }
-    return rc;
+    return ok ? 0 : 1;
 }
 
 } // namespace beethoven

@@ -43,14 +43,10 @@ beethovenCopyCycles(const MemcpyCore::Variant &variant, u64 len,
     AwsF1Platform platform;
     AcceleratorConfig cfg(MemcpyCore::systemConfig(1, variant));
     AcceleratorSoc soc(std::move(cfg), platform);
-    auto invariants = cli.armInvariants(soc);
+    SocInvariants invariants(soc);
     RuntimeServer server(soc);
     fpga_handle_t handle(server);
-    if (TraceSink *sink = cli.sink()) {
-        sink->beginProcess(label);
-        soc.sim().attachTrace(sink);
-    }
-    cli.instrument(soc.sim());
+    cli.instrument(soc.sim(), label);
 
     remote_ptr src = handle.malloc(len);
     remote_ptr dst = handle.malloc(len);
@@ -63,8 +59,7 @@ beethovenCopyCycles(const MemcpyCore::Variant &variant, u64 len,
         .get();
     auto &core =
         static_cast<MemcpyCore &>(soc.core("MemcpySystem", 0));
-    if (invariants)
-        invariants->checkFinal();
+    invariants.checkFinal();
     cli.recordStats(label, soc.sim());
     return core.lastKernelCycles();
 }
@@ -81,11 +76,7 @@ rawCopyCycles(const RawAxiMemcpy::Params &params, u64 len, BenchCli &cli,
     cfg.timing = AwsF1Platform().dramTiming();
     DramController ctrl(sim, "ddr", cfg, mem);
     RawAxiMemcpy engine(sim, "memcpy", params, ctrl);
-    if (TraceSink *sink = cli.sink()) {
-        sink->beginProcess(label);
-        sim.attachTrace(sink);
-    }
-    cli.instrument(sim);
+    cli.instrument(sim, label);
     engine.start(0x100000, 0x4000000, len);
     const Cycle start = sim.cycle();
     if (!sim.runUntil([&] { return engine.done(); }, 100'000'000ULL))

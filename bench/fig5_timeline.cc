@@ -41,11 +41,7 @@ runRaw(const char *title, const RawAxiMemcpy::Params &params,
     cfg.timing = AwsF1Platform().dramTiming();
     DramController ctrl(sim, "ddr", cfg, mem);
     RawAxiMemcpy engine(sim, "memcpy", params, ctrl);
-    if (TraceSink *sink = cli.sink()) {
-        sink->beginProcess(label);
-        sim.attachTrace(sink);
-    }
-    cli.instrument(sim);
+    cli.instrument(sim, label);
 
     // Pre-warm with a dummy copy so row state resembles steady
     // operation, then record the 4 KB copy of interest.
@@ -70,11 +66,7 @@ runBeethoven(const char *title, const MemcpyCore::Variant &variant,
     AcceleratorSoc soc(std::move(cfg), platform);
     RuntimeServer server(soc);
     fpga_handle_t handle(server);
-    if (TraceSink *sink = cli.sink()) {
-        sink->beginProcess(label);
-        soc.sim().attachTrace(sink);
-    }
-    cli.instrument(soc.sim());
+    cli.instrument(soc.sim(), label);
 
     remote_ptr src = handle.malloc(4096);
     remote_ptr dst = handle.malloc(4096);

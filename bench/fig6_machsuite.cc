@@ -107,14 +107,10 @@ runKernel(const KernelDriver &driver,
 
     AcceleratorSoc soc(AcceleratorConfig(driver.makeConfig(n_cores)),
                        platform);
-    auto invariants = cli.armInvariants(soc);
+    SocInvariants invariants(soc);
     RuntimeServer server(soc);
     fpga_handle_t handle(server);
-    if (TraceSink *sink = cli.sink()) {
-        sink->beginProcess(driver.name);
-        soc.sim().attachTrace(sink);
-    }
-    cli.instrument(soc.sim());
+    cli.instrument(soc.sim(), driver.name);
 
     // Per-core operand buffers.
     std::vector<std::vector<u64>> args;
@@ -150,8 +146,7 @@ runKernel(const KernelDriver &driver,
     r.measuredOps = total_ops * clock_hz / double(wall);
     r.coresSimulated = n_cores;
     r.coresFit = fit;
-    if (invariants)
-        invariants->checkFinal();
+    invariants.checkFinal();
     cli.recordStats(driver.name, soc.sim());
     return r;
 }

@@ -30,11 +30,7 @@ main(int argc, char **argv)
                        platform);
     RuntimeServer server(soc);
     fpga_handle_t handle(server);
-    if (TraceSink *sink = cli.sink()) {
-        sink->beginProcess("a3");
-        soc.sim().attachTrace(sink);
-    }
-    cli.instrument(soc.sim());
+    cli.instrument(soc.sim(), "a3");
 
     const unsigned n_keys = 320, n_queries = 128;
     Rng rng(3);

@@ -56,7 +56,7 @@ main(int argc, char **argv)
     const unsigned n_cores = maxA3Cores(platform);
     AcceleratorSoc soc(AcceleratorConfig(A3Core::systemConfig(n_cores)),
                        platform);
-    cli.instrument(soc.sim());
+    cli.instrument(soc.sim(), "floorplan");
 
     const auto slrs = soc.coreSlrs("A3System");
     std::vector<std::vector<unsigned>> by_slr(

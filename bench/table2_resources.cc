@@ -88,7 +88,7 @@ main(int argc, char **argv)
 
     AcceleratorSoc soc(AcceleratorConfig(A3Core::systemConfig(n_cores)),
                        platform);
-    cli.instrument(soc.sim());
+    cli.instrument(soc.sim(), "a3-resources");
     auto &fp = soc.floorplan();
 
     const ResourceVec cap = fp.totalCapacity();

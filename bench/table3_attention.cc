@@ -66,11 +66,7 @@ simulatedOpsPerSecond(const Platform &platform, unsigned n_cores,
                        platform);
     RuntimeServer server(soc);
     fpga_handle_t handle(server);
-    if (TraceSink *sink = cli.sink()) {
-        sink->beginProcess(label);
-        soc.sim().attachTrace(sink);
-    }
-    cli.instrument(soc.sim());
+    cli.instrument(soc.sim(), label);
 
     const unsigned n_keys = 320;
     Rng rng(17);

@@ -1,6 +1,5 @@
 #include "analysis/analyze.h"
 
-#include "core/soc.h"
 #include "lint/lint.h"
 
 namespace beethoven
@@ -35,15 +34,6 @@ analyzeGraph(const SimGraph &g, const lint::CompositionModel *model)
     for (const GraphRuleEntry &rule : graphRules())
         rule.fn(g, model, rep);
     return rep;
-}
-
-lint::DiagnosticReport
-analyzeSoc(const AcceleratorSoc &soc)
-{
-    const SimGraph g = buildSimGraph(soc.sim());
-    const lint::CompositionModel model =
-        lint::buildCompositionModel(soc.config(), soc.platform());
-    return analyzeGraph(g, &model);
 }
 
 GraphShape

@@ -22,8 +22,6 @@
 namespace beethoven
 {
 
-class AcceleratorSoc;
-
 namespace lint
 {
 struct CompositionModel;
@@ -54,12 +52,6 @@ lint::DiagnosticReport analyzeGraph(
     const SimGraph &g, const lint::CompositionModel *model = nullptr);
 
 /**
- * Lower @p soc's simulator record and analyze it against its own
- * composition model (enables the BTH106 census).
- */
-lint::DiagnosticReport analyzeSoc(const AcceleratorSoc &soc);
-
-/**
  * Placement-independent module census the composition model implies:
  * what elaboration must have built, by role. NoC node counts are
  * placement-dependent and deliberately excluded.
@@ -82,8 +74,8 @@ GraphShape predictGraphShape(const lint::CompositionModel &model);
  * When deferred, AcceleratorSoc's constructor-tail graph validation
  * records nothing and does not throw; tools and tests that want the
  * DiagnosticReport (or that plant violations on purpose) defer it and
- * call analyzeSoc() themselves. Per thread: deferring on one thread
- * leaves elaborations on other threads gated.
+ * call AcceleratorSoc::analyzeGraph() themselves. Per thread:
+ * deferring on one thread leaves elaborations on other threads gated.
  */
 void setDeferSocGraphValidation(bool defer);
 bool socGraphValidationDeferred();

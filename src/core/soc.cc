@@ -5,7 +5,6 @@
 #include "analysis/analyze.h"
 #include "base/log.h"
 #include "core/elab_params.h"
-#include "lint/lint.h"
 #include "mem/resource_model.h"
 #include "power/power.h"
 #include "sim/graph_record.h"
@@ -349,7 +348,7 @@ AcceleratorSoc::validateGraph()
 {
     if (analysis::socGraphValidationDeferred())
         return;
-    const lint::DiagnosticReport report = analysis::analyzeSoc(*this);
+    const lint::DiagnosticReport report = analyzeGraph();
     if (report.hasErrors()) {
         fatal("simulation-graph contract violated: %zu error(s), "
               "%zu warning(s)\n%s",
@@ -361,7 +360,7 @@ AcceleratorSoc::validateGraph()
 lint::DiagnosticReport
 AcceleratorSoc::analyzeGraph() const
 {
-    return analysis::analyzeSoc(*this);
+    return analysis::analyzeGraph(analysis::buildSimGraph(_sim), &_model);
 }
 
 void
@@ -371,20 +370,13 @@ AcceleratorSoc::validate()
     // invalid composition reports *every* violation in one failure
     // instead of first-error-wins. Warnings alone never block a
     // build; surface them with tools/soc_lint.
-    const lint::DiagnosticReport report =
-        lint::lintComposition(_config, _platform);
+    _model = lint::buildCompositionModel(_config, _platform);
+    const lint::DiagnosticReport report = lint::lintComposition(_model);
     if (report.hasErrors()) {
         fatal("invalid composition: %zu error(s), %zu warning(s)\n%s",
               report.errorCount(), report.warningCount(),
               report.format().c_str());
     }
-}
-
-ResourceVec
-AcceleratorSoc::estimateCoreLogic(const AcceleratorSystemConfig &sys,
-                                  const AxiConfig &bus) const
-{
-    return beethoven::estimateCoreLogic(sys, _platform, bus);
 }
 
 void
@@ -393,11 +385,11 @@ AcceleratorSoc::placeCores()
     _coreSlr.resize(_config.systems.size());
     for (u32 s = 0; s < _config.systems.size(); ++s) {
         const auto &sys = _config.systems[s];
-        const ResourceVec est = estimateCoreLogic(sys, _bus);
         _coreSlr[s].resize(sys.nCores);
         for (u32 c = 0; c < sys.nCores; ++c) {
             _coreSlr[s][c] = _floorplan->placeCore(
-                sys.name + "_core" + std::to_string(c), est);
+                sys.name + "_core" + std::to_string(c),
+                _model.systemCoreLogic[s]);
         }
     }
 }
@@ -859,7 +851,7 @@ AcceleratorSoc::coreSlrs(const std::string &system_name) const
 ResourceVec
 AcceleratorSoc::coreLogicResources(const std::string &system_name) const
 {
-    return estimateCoreLogic(systemConfig(system_name), _bus);
+    return _model.systemCoreLogic[systemIdOf(system_name)];
 }
 
 } // namespace beethoven

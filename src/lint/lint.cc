@@ -106,15 +106,19 @@ lintRules()
 }
 
 DiagnosticReport
-lintComposition(const AcceleratorConfig &config,
-                const Platform &platform)
+lintComposition(const CompositionModel &model)
 {
-    const CompositionModel model =
-        buildCompositionModel(config, platform);
     DiagnosticReport report;
     for (const LintRuleEntry &rule : lintRules())
         rule.fn(model, report);
     return report;
+}
+
+DiagnosticReport
+lintComposition(const AcceleratorConfig &config,
+                const Platform &platform)
+{
+    return lintComposition(buildCompositionModel(config, platform));
 }
 
 } // namespace beethoven::lint

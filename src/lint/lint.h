@@ -111,6 +111,9 @@ const std::vector<LintRuleEntry> &placementLintRules();
 /** Every registered rule, in layer order. */
 std::vector<LintRuleEntry> lintRules();
 
+/** Run every rule over @p model. Never throws. */
+DiagnosticReport lintComposition(const CompositionModel &model);
+
 /** Run every rule over @p config / @p platform. Never throws. */
 DiagnosticReport lintComposition(const AcceleratorConfig &config,
                                  const Platform &platform);

@@ -4,46 +4,14 @@
 #include <iomanip>
 
 #include "base/json.h"
-#include "perf/host_clock.h"
 #include "trace/trace.h"
 
 namespace beethoven
 {
 
-namespace
-{
-
-/** Smallest power-of-two mask covering @p period cycles. */
-Cycle
-heartbeatMask(Cycle period)
-{
-    Cycle mask = 1;
-    while (mask + 1 < period && mask < (1ull << 62))
-        mask = (mask << 1) | 1;
-    return mask;
-}
-
-} // namespace
-
-HostProfiler::HostProfiler(Mode mode, u32 period, Cycle hb_period)
-    : _mode(mode), _period(period == 0 ? 1 : period),
-      _hbMask(heartbeatMask(hb_period)), _startNs(hostNowNs())
+HostProfiler::HostProfiler(u32 period) : _period(period == 0 ? 1 : period)
 {
     _commitId = componentId("(commit)");
-}
-
-const char *
-HostProfiler::modeName() const
-{
-    switch (_mode) {
-    case Mode::KpiOnly:
-        return "kpi-only";
-    case Mode::Sampling:
-        return "sampling";
-    case Mode::Scoped:
-        return "scoped";
-    }
-    return "?";
 }
 
 u32
@@ -62,22 +30,6 @@ bool
 HostProfiler::onCycle()
 {
     ++_cycles;
-    if ((_cycles & _hbMask) == 0) {
-        _heartbeat.push_back({_cycles, hostNowNs() - _startNs});
-        if (_heartbeat.size() > kMaxHeartbeatPoints) {
-            // Double the window: keep every other point so the series
-            // still ends at the newest sample.
-            std::size_t out = 0;
-            for (std::size_t i = 1; i < _heartbeat.size(); i += 2)
-                _heartbeat[out++] = _heartbeat[i];
-            _heartbeat.resize(out);
-            _hbMask = (_hbMask << 1) | 1;
-        }
-    }
-    if (_mode == Mode::KpiOnly)
-        return false;
-    if (_mode == Mode::Scoped)
-        return true;
     if (++_sinceSample >= _period) {
         _sinceSample = 0;
         return true;
@@ -118,7 +70,7 @@ HostProfiler::top(std::size_t n) const
 void
 HostProfiler::writeReport(std::ostream &os, std::size_t top_n) const
 {
-    os << "host-time breakdown (" << modeName() << " mode, "
+    os << "host-time breakdown (period " << _period << ", "
        << _sampledCycles << " of " << _cycles << " cycles measured, "
        << _totalNs / 1000 << " us step-loop time):\n";
     const auto ranked = top(top_n);
@@ -135,7 +87,7 @@ HostProfiler::writeReport(std::ostream &os, std::size_t top_n) const
 void
 HostProfiler::writeJson(std::ostream &os) const
 {
-    os << "{\"mode\":\"" << modeName() << "\",\"period\":" << _period
+    os << "{\"period\":" << _period
        << ",\"seen_cycles\":" << _cycles
        << ",\"sampled_cycles\":" << _sampledCycles
        << ",\"total_ns\":" << _totalNs << ",\"components\":[";

@@ -16,17 +16,11 @@
  * describes the kernel that ran: under the event kernel a sleeping
  * module is not ticked and records no interval for that cycle.
  *
- * Three modes bound the overhead:
- *
- *   KpiOnly   no per-component timing; only the cycles/sec heartbeat
- *             runs (one clock read every heartbeat window). This is
- *             what --perf-json alone enables.
- *   Sampling  every Nth cycle is fully timed (default N=64); measured
- *             shares estimate the true breakdown with ~1/N of the
- *             scoped cost. The default for --host-profile, keeping
- *             overhead well under the 5% budget (DESIGN.md 4e).
- *   Scoped    every cycle is timed. Exact, costliest; used by the
- *             conservation tests and short diagnostic runs.
+ * One cycle in every `period` is timed (default 64, what
+ * --host-profile uses): the measured shares estimate the true
+ * breakdown at ~1/period of the cost of timing every cycle, keeping
+ * overhead well under the 5% budget (DESIGN.md 4e). Period 1 times
+ * every cycle; the conservation tests use it.
  *
  * A profiler may be attached to many Simulators sequentially (benches
  * construct one SoC per configuration); components with equal names
@@ -57,20 +51,8 @@ class TraceSink;
 class HostProfiler
 {
   public:
-    enum class Mode { KpiOnly, Sampling, Scoped };
-
-    /**
-     * @param period     cycles between measured cycles (Sampling mode;
-     *                   clamped to >= 1, ignored otherwise)
-     * @param hb_period  cycles between heartbeat samples (rounded up
-     *                   to a power of two)
-     */
-    explicit HostProfiler(Mode mode = Mode::Sampling, u32 period = 64,
-                          Cycle hb_period = 1ull << 12);
-
-    Mode mode() const { return _mode; }
-    u32 period() const { return _period; }
-    const char *modeName() const;
+    /** @param period cycles per measured cycle (clamped to >= 1) */
+    explicit HostProfiler(u32 period = 64);
 
     /** Get-or-create the component named @p name. */
     u32 componentId(const std::string &name);
@@ -81,8 +63,8 @@ class HostProfiler
     // ---- hot path (called by Simulator::step) ----------------------
 
     /**
-     * Account one elapsed cycle: advances the heartbeat and decides
-     * whether this cycle's phases should be individually timed.
+     * Account one elapsed cycle and decide whether its phases should
+     * be individually timed.
      * @return true if the caller should time this cycle.
      */
     bool onCycle();
@@ -144,48 +126,22 @@ class HostProfiler
         return _totalNs ? static_cast<double>(c.ns) / _totalNs : 0.0;
     }
 
-    /**
-     * One cumulative cycles/sec heartbeat sample: @p cycles cycles had
-     * been stepped @p wallNs after profiler construction. The series
-     * is windowed: when it outgrows kMaxHeartbeatPoints the window
-     * doubles and every other point is dropped, so memory stays
-     * bounded on arbitrarily long runs.
-     */
-    struct HeartbeatPoint
-    {
-        u64 cycles = 0;
-        u64 wallNs = 0;
-    };
-
-    const std::vector<HeartbeatPoint> &heartbeat() const
-    {
-        return _heartbeat;
-    }
-
-    Cycle heartbeatPeriod() const { return _hbMask + 1; }
-
     /** Ranked per-component table, analogous to the stall report. */
     void writeReport(std::ostream &os, std::size_t top_n = 10) const;
 
     /** The "host_profile" JSON object embedded in --perf-json output. */
     void writeJson(std::ostream &os) const;
 
-    static constexpr std::size_t kMaxHeartbeatPoints = 512;
-
   private:
-    Mode _mode;
     u32 _period;
     u32 _sinceSample = 0;
-    Cycle _hbMask;
     u64 _cycles = 0;
     u64 _sampledCycles = 0;
     u64 _totalNs = 0;
-    u64 _startNs;
     u32 _commitId = 0;
     std::vector<Component> _components;
     std::map<std::string, u32> _byName;
     std::vector<u64> _emittedNs; ///< per-component ns at last emission
-    std::vector<HeartbeatPoint> _heartbeat;
 };
 
 } // namespace beethoven

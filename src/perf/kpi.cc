@@ -59,7 +59,7 @@ writePerfJson(std::ostream &os, const std::string &bench, bool quick,
         secs > 0 ? static_cast<double>(ticks) / secs : 0.0;
     const AllocCounters alloc = allocCounters();
 
-    os << "{\"schema\":\"beethoven-perf-1\"";
+    os << "{\"schema\":\"beethoven-perf-2\"";
     os << ",\"bench\":" << jsonString(bench);
     os << ",\"quick\":" << (quick ? "true" : "false");
     os << ",\"wall_ms\":" << wall_ms;
@@ -72,16 +72,7 @@ writePerfJson(std::ostream &os, const std::string &bench, bool quick,
        << ",\"frees\":" << alloc.frees << ",\"bytes\":" << alloc.bytes
        << "}";
     if (prof != nullptr) {
-        os << ",\"heartbeat\":[";
-        bool first = true;
-        for (const auto &p : prof->heartbeat()) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << "{\"cycles\":" << p.cycles << ",\"wall_ms\":"
-               << static_cast<double>(p.wallNs) / 1e6 << "}";
-        }
-        os << "],\"host_profile\":";
+        os << ",\"host_profile\":";
         prof->writeJson(os);
     }
     os << "}\n";

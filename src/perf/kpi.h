@@ -6,7 +6,7 @@
  * These complement the HostProfiler's per-component breakdown: the
  * profiler says *where* host time goes, the KPIs say *how fast* the
  * whole process converted wall-clock into simulated cycles. bench_cli
- * serializes them into --perf-json output (schema "beethoven-perf-1"),
+ * serializes them into --perf-json output (schema "beethoven-perf-2"),
  * a one-off diagnostic for a single run; perfbench/ reads the peak RSS
  * and allocation counters for the repository benchmark.
  */
@@ -48,9 +48,8 @@ AllocCounters allocCounters();
 u64 peakRssKb();
 
 /**
- * Write one "beethoven-perf-1" JSON object: run-level KPIs plus the
- * profiler's heartbeat and (when per-component timing ran) host-time
- * breakdown.
+ * Write one "beethoven-perf-2" JSON object: run-level KPIs plus, when
+ * a profiler was attached, its host-time breakdown ("host_profile").
  *
  * @param bench    bench name (argv[0] basename)
  * @param quick    whether the run was a --quick run

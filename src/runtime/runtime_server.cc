@@ -59,7 +59,7 @@ RuntimeServer::sendCommand(const CommandSpec &spec, u32 system_id,
                 fatal("timeout polling CMD_READY");
             if (ready)
                 break;
-            _soc.sim().run(_pollInterval);
+            _soc.sim().run(kPollInterval);
         }
         // Five CMD_BITS writes + CMD_VALID.
         const u32 words[5] = {
@@ -83,7 +83,6 @@ RuntimeServer::sendCommand(const CommandSpec &spec, u32 system_id,
         _hostIf->enqueue(std::move(submit));
         drainHost();
     }
-    ++_inFlight;
 }
 
 void
@@ -130,8 +129,6 @@ RuntimeServer::pollResponses()
     key.systemId = words[2] >> 16;
     const u64 data = u64(words[0]) | (u64(words[1]) << 32);
     _arrived[key] = data;
-    if (_inFlight > 0)
-        --_inFlight;
 }
 
 std::optional<u64>
@@ -162,7 +159,7 @@ RuntimeServer::waitFor(const RespKey &key, Cycle timeout)
                   static_cast<unsigned long long>(timeout), key.systemId,
                   key.coreId, key.rd);
         }
-        _soc.sim().run(_pollInterval);
+        _soc.sim().run(kPollInterval);
     }
 }
 

@@ -69,13 +69,10 @@ class RuntimeServer
      */
     u64 waitFor(const RespKey &key, Cycle timeout = 500'000'000ULL);
 
-    /** Cycles between response-poll sequences when waiting. */
-    void setPollInterval(Cycle cycles) { _pollInterval = cycles; }
-
-    /** In-flight commands whose responses have not been collected. */
-    std::size_t inFlight() const { return _inFlight; }
-
   private:
+    /** Cycles between response-poll sequences when waiting. */
+    static constexpr Cycle kPollInterval = 50;
+
     /** Step the simulation until the host link drains its queue. */
     void drainHost();
     /** Run one response-poll sequence (costs MMIO operations). */
@@ -87,8 +84,6 @@ class RuntimeServer
 
     std::map<RespKey, u64> _arrived;
     std::map<std::pair<u32, u32>, u32> _rdCounters;
-    std::size_t _inFlight = 0;
-    Cycle _pollInterval = 50;
 };
 
 } // namespace beethoven

@@ -254,8 +254,6 @@ class Simulator
         _lastProgress = _cycle;
     }
 
-    Cycle watchdogLimit() const { return _watchdogLimit; }
-
     /**
      * Add a diagnostics callback invoked by dumpHangDiagnostics (the
      * SoC registers DRAM in-flight and NoC occupancy dumpers here).
@@ -312,8 +310,8 @@ class Simulator
 
     /**
      * Attached host profiler, or nullptr (the default). When attached,
-     * step() drives the cycles/sec heartbeat and, on the cycles the
-     * profiler measures (per its mode), reads the clock after every
+     * step() counts every cycle with it and, on the one cycle in each
+     * profiler period that it measures, reads the clock after every
      * tick it runs, attributing wall-clock time to the modules the
      * kernel actually ticked. When null, the only cost is one pointer
      * check per step. Not owned; must outlive its attachment.
@@ -351,8 +349,6 @@ class Simulator
      * is one mask.
      */
     static constexpr Cycle kSampleWindow = 1024;
-
-    std::size_t numModules() const { return _modules.size(); }
 
   private:
     /** Wheel-arm a wake with dedup and planted-fault accounting. */

@@ -8,8 +8,8 @@
  * sinks: busiest first, ties broken by total attributed stall, so the
  * module at the head of the list is the one limiting the run.
  *
- * Shared by the bottleneck_report CLI and BenchCli's --stall-report=
- * path; stall_test exercises it directly.
+ * tools/bottleneck_report renders it as a ranked table and a JSON
+ * report; stall_test exercises it directly.
  */
 
 #ifndef BEETHOVEN_TRACE_BOTTLENECK_H

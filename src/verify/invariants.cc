@@ -201,7 +201,6 @@ SocInvariants::onAxiEvent(const AxiEvent &e)
 void
 SocInvariants::onCommand(const RoccCommand &cmd)
 {
-    ++_cmdBeatsSeen;
     if (!cmd.xd())
         return;
     ++_xdSeen;

@@ -118,8 +118,6 @@ class SocInvariants : public Invariant
      */
     void checkFinal();
 
-    u64 commandsSeen() const { return _cmdBeatsSeen; }
-    u64 expectedResponses() const { return _xdSeen; }
     u64 responsesSeen() const { return _respsSeen; }
     u64 axiEventsSeen() const { return _axi.eventsSeen(); }
 
@@ -149,7 +147,6 @@ class SocInvariants : public Invariant
      * balance means a response arrived that no command asked for.
      */
     std::map<u64, i64> _ledger;
-    u64 _cmdBeatsSeen = 0;
     u64 _xdSeen = 0;
     u64 _respsSeen = 0;
 };

@@ -64,7 +64,7 @@ TEST(HostProfiler, ScopedComponentTimesSumToAtMostTotal)
     Simulator sim;
     SpinModule heavy(sim, "heavy", 4000);
     SpinModule light(sim, "light", 100);
-    HostProfiler prof(HostProfiler::Mode::Scoped);
+    HostProfiler prof(1);
     sim.attachHostProfiler(&prof);
 
     for (int i = 0; i < 2000; ++i)
@@ -90,15 +90,15 @@ TEST(HostProfiler, ScopedComponentTimesSumToAtMostTotal)
 
 TEST(HostProfiler, SamplingAgreesWithScopedShares)
 {
-    // Same two-module workload measured both ways; the sampled share
-    // estimate must land near the exhaustive one. Tolerance is
-    // generous (15 points) because a 1-in-8 sample of 4000 cycles is
-    // noisy under CI scheduling.
-    auto measure = [](HostProfiler::Mode mode, u32 period) {
+    // Same two-module workload measured at period 1 and period 8; the
+    // sampled share estimate must land near the exhaustive one.
+    // Tolerance is generous (15 points) because a 1-in-8 sample of 4000
+    // cycles is noisy under CI scheduling.
+    auto measure = [](u32 period) {
         Simulator sim;
         SpinModule heavy(sim, "heavy", 4000);
         SpinModule light(sim, "light", 400);
-        HostProfiler prof(mode, period);
+        HostProfiler prof(period);
         sim.attachHostProfiler(&prof);
         for (int i = 0; i < 4000; ++i)
             sim.step();
@@ -114,8 +114,8 @@ TEST(HostProfiler, SamplingAgreesWithScopedShares)
     // tolerance until the assertion is vacuous.
     double scoped = 0.0, sampled = 0.0;
     for (int attempt = 0; attempt < 5; ++attempt) {
-        scoped = measure(HostProfiler::Mode::Scoped, 1);
-        sampled = measure(HostProfiler::Mode::Sampling, 8);
+        scoped = measure(1);
+        sampled = measure(8);
         if (scoped > 0.5 && std::abs(sampled - scoped) <= 0.15)
             break;
     }
@@ -128,7 +128,7 @@ TEST(HostProfiler, SamplingMeasuresOneInPeriodCycles)
 {
     Simulator sim;
     SpinModule m(sim, "m", 10);
-    HostProfiler prof(HostProfiler::Mode::Sampling, 64);
+    HostProfiler prof(64);
     sim.attachHostProfiler(&prof);
     for (int i = 0; i < 6400; ++i)
         sim.step();
@@ -136,42 +136,11 @@ TEST(HostProfiler, SamplingMeasuresOneInPeriodCycles)
     EXPECT_EQ(prof.sampledCycles(), 6400u / 64);
 }
 
-TEST(HostProfiler, KpiOnlyModeNeverTimesComponents)
-{
-    Simulator sim;
-    SpinModule m(sim, "m", 10);
-    HostProfiler prof(HostProfiler::Mode::KpiOnly);
-    sim.attachHostProfiler(&prof);
-    for (int i = 0; i < 1000; ++i)
-        sim.step();
-    EXPECT_EQ(prof.seenCycles(), 1000u);
-    EXPECT_EQ(prof.sampledCycles(), 0u);
-    EXPECT_EQ(prof.totalNs(), 0u);
-}
-
-TEST(HostProfiler, HeartbeatStaysBoundedOnLongRuns)
-{
-    // hb_period=1 records a point every cycle until the coalescing
-    // kicks in: past kMaxHeartbeatPoints the window doubles and every
-    // other point is dropped, so the series stays bounded no matter
-    // how long the run is.
-    HostProfiler prof(HostProfiler::Mode::KpiOnly, 64, 1);
-    for (u64 i = 0; i < 100000; ++i)
-        prof.onCycle();
-    EXPECT_FALSE(prof.heartbeat().empty());
-    EXPECT_LE(prof.heartbeat().size(), HostProfiler::kMaxHeartbeatPoints);
-    EXPECT_GT(prof.heartbeatPeriod(), 1u);
-    // Cumulative series: cycle counts strictly increase.
-    const auto &hb = prof.heartbeat();
-    for (std::size_t i = 1; i < hb.size(); ++i)
-        EXPECT_LT(hb[i - 1].cycles, hb[i].cycles);
-}
-
 TEST(HostProfiler, ComponentsAccumulateAcrossAttachments)
 {
     // Benches build one SoC per configuration but reuse the profiler;
     // same-named components must merge rather than duplicate.
-    HostProfiler prof(HostProfiler::Mode::Scoped);
+    HostProfiler prof(1);
     for (int round = 0; round < 2; ++round) {
         Simulator sim;
         SpinModule m(sim, "ddr", 100);
@@ -245,7 +214,7 @@ vecAddRun(u64 seed, SimKernel kernel, HostProfiler *prof)
 TEST(HostProfiler, ProfiledRunIsBitIdenticalToUnprofiled)
 {
     const VecAddRun plain = vecAddRun(0xD5EED, SimKernel::Tick, nullptr);
-    HostProfiler scoped(HostProfiler::Mode::Scoped);
+    HostProfiler scoped(1);
     const VecAddRun profiled =
         vecAddRun(0xD5EED, SimKernel::Tick, &scoped);
     EXPECT_EQ(plain.digest, profiled.digest);
@@ -263,13 +232,13 @@ TEST(HostProfiler, ProfiledEventRunTicksOnlyAwakeModules)
     // that sleeps records fewer intervals than there were measured
     // cycles.
     const VecAddRun plain = vecAddRun(0xD5EED, SimKernel::Event, nullptr);
-    HostProfiler scoped(HostProfiler::Mode::Scoped);
+    HostProfiler scoped(1);
     const VecAddRun profiled =
         vecAddRun(0xD5EED, SimKernel::Event, &scoped);
     EXPECT_EQ(plain.digest, profiled.digest);
     EXPECT_EQ(plain.moduleTicks, profiled.moduleTicks);
 
-    // Scoped mode times every tick it runs: one interval per tick.
+    // Period 1 times every tick the kernel runs: one interval each.
     u64 module_calls = 0;
     const HostProfiler::Component *ddr = nullptr;
     for (const auto &c : scoped.components()) {
@@ -318,7 +287,7 @@ TEST(Kpi, HostClockIsMonotonic)
 
 TEST(Kpi, PerfJsonIsParseableAndCarriesKpis)
 {
-    HostProfiler prof(HostProfiler::Mode::Scoped);
+    HostProfiler prof(1);
     Simulator sim;
     SpinModule m(sim, "m", 50);
     sim.attachHostProfiler(&prof);
@@ -330,12 +299,19 @@ TEST(Kpi, PerfJsonIsParseableAndCarriesKpis)
     const JsonValue v = parseJson(os.str());
     ASSERT_TRUE(v.isObject());
     ASSERT_NE(v.find("schema"), nullptr);
-    EXPECT_EQ(v.find("schema")->string, "beethoven-perf-1");
+    EXPECT_EQ(v.find("schema")->string, "beethoven-perf-2");
     EXPECT_EQ(v.find("bench")->string, "unit_bench");
     EXPECT_DOUBLE_EQ(v.find("sim_cycles")->number, 100.0);
     EXPECT_GT(v.find("cycles_per_sec")->number, 0.0);
     ASSERT_NE(v.find("host_profile"), nullptr);
-    EXPECT_EQ(v.find("host_profile")->find("mode")->string, "scoped");
+    EXPECT_DOUBLE_EQ(v.find("host_profile")->find("period")->number, 1.0);
+
+    // Without a profiler (--perf-json alone) the KPIs stand alone.
+    std::ostringstream bare;
+    writePerfJson(bare, "unit_bench", true, 1000000, 100, 100, nullptr);
+    const JsonValue b = parseJson(bare.str());
+    EXPECT_GT(b.find("cycles_per_sec")->number, 0.0);
+    EXPECT_EQ(b.find("host_profile"), nullptr);
 }
 
 // ---- global KPI counters -------------------------------------------

@@ -18,9 +18,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "base/decimal.h"
 #include "base/json.h"
 #include "base/log.h"
 #include "trace/bottleneck.h"
@@ -36,7 +38,15 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--top=", 6) == 0) {
-            top_n = static_cast<std::size_t>(std::atol(arg + 6));
+            const std::optional<u64> n = parseDecimal(arg + 6);
+            if (!n) {
+                std::fprintf(stderr,
+                             "bad --top value '%s' (expected a 64-bit "
+                             "decimal count)\n",
+                             arg + 6);
+                return 2;
+            }
+            top_n = static_cast<std::size_t>(*n);
         } else if (std::strncmp(arg, "--json=", 7) == 0) {
             json_path = arg + 7;
         } else if (stats_path.empty()) {

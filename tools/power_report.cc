@@ -20,10 +20,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "base/decimal.h"
 #include "base/json.h"
 #include "base/log.h"
 #include "power/power_json.h"
@@ -38,7 +40,15 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--top=", 6) == 0) {
-            top_n = static_cast<std::size_t>(std::atol(arg + 6));
+            const std::optional<u64> n = parseDecimal(arg + 6);
+            if (!n) {
+                std::fprintf(stderr,
+                             "bad --top value '%s' (expected a 64-bit "
+                             "decimal count)\n",
+                             arg + 6);
+                return 2;
+            }
+            top_n = static_cast<std::size_t>(*n);
         } else if (path.empty()) {
             path = arg;
         } else {

@@ -28,9 +28,11 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "analysis/analyze.h"
+#include "base/decimal.h"
 #include "base/log.h"
 #include "core/soc.h"
 #include "lint/lint.h"
@@ -94,13 +96,24 @@ usage(std::ostream &os)
           "  --verbose           per-iteration progress lines\n";
 }
 
+/**
+ * Read --NAME=N into @p out. @return false when @p arg is another
+ * flag; a value that is not a decimal count is a usage error (exit 2).
+ */
 bool
 parseU64Flag(const std::string &arg, const std::string &name, u64 &out)
 {
     const std::string prefix = "--" + name + "=";
     if (arg.rfind(prefix, 0) != 0)
         return false;
-    out = std::strtoull(arg.c_str() + prefix.size(), nullptr, 10);
+    const std::string value = arg.substr(prefix.size());
+    const std::optional<u64> n = parseDecimal(value);
+    if (!n) {
+        std::cerr << "soc_fuzz: bad --" << name << " value '" << value
+                  << "' (expected a 64-bit decimal count)\n";
+        std::exit(2);
+    }
+    out = *n;
     return true;
 }
 

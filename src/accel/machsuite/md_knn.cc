@@ -9,8 +9,7 @@ namespace
 {
 
 void
-unpackPosition(const std::vector<u8> &row, double &x, double &y,
-               double &z)
+unpackPosition(const Bytes &row, double &x, double &y, double &z)
 {
     std::memcpy(&x, row.data(), 8);
     std::memcpy(&y, row.data() + 8, 8);

@@ -9,7 +9,7 @@ namespace
 {
 
 i32
-wordToI32(const std::vector<u8> &bytes)
+wordToI32(const Bytes &bytes)
 {
     u32 v = 0;
     for (unsigned i = 0; i < 4; ++i)

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "base/bytes.h"
 #include "base/types.h"
 
 namespace beethoven
@@ -45,7 +46,7 @@ struct ReadRequest
 struct ReadBeat
 {
     u32 id = 0;
-    std::vector<u8> data; ///< dataBytes bytes
+    Bytes data;           ///< dataBytes bytes
     bool last = false;    ///< final beat of the burst
     u64 tag = 0;
 };
@@ -62,7 +63,7 @@ struct WriteRequest
 /** W-channel flit: one beat of write data. */
 struct WriteBeat
 {
-    std::vector<u8> data;   ///< dataBytes bytes
+    Bytes data;             ///< dataBytes bytes
     std::vector<bool> strb; ///< per-byte write enable (empty = all on)
     bool last = false;
 };

@@ -37,7 +37,7 @@ namespace beethoven
 
 /**
  * The simulation thread, modeled as a capability. Event-kernel state
- * (the wake wheel, the dirty-commit list, the tick cursor) is
+ * (the wake wheel, the tick-phase flag, the tick cursor) is
  * GUARDED_BY this role; the public Simulator entry points assert it,
  * private phase helpers REQUIRE it. One process-wide token stands for
  * "the thread that owns this Simulator": state is never shared between

@@ -115,7 +115,7 @@ class DramController : public Module
         u32 beatsSent = 0;
         std::vector<bool> issued;              ///< per-beat issue flag
         std::vector<Cycle> beatReadyAt;        ///< 0 = not yet issued
-        std::vector<std::vector<u8>> beatData; ///< captured at issue
+        std::vector<Bytes> beatData;           ///< captured at issue
         std::vector<DramCoord> beatCoord;      ///< mapped once at accept
     };
 

@@ -57,7 +57,7 @@ FunctionalMemory::write(Addr addr, std::size_t len, const u8 *src)
 }
 
 void
-FunctionalMemory::writeMasked(Addr addr, const std::vector<u8> &data,
+FunctionalMemory::writeMasked(Addr addr, std::span<const u8> data,
                               const std::vector<bool> &strb)
 {
     if (strb.empty()) {
@@ -67,9 +67,17 @@ FunctionalMemory::writeMasked(Addr addr, const std::vector<u8> &data,
     beethoven_assert(strb.size() == data.size(),
                      "strobe width %zu != data width %zu", strb.size(),
                      data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        if (strb[i])
-            write(addr + i, 1, &data[i]);
+    std::size_t i = 0;
+    while (i < data.size()) {
+        if (!strb[i]) {
+            ++i;
+            continue;
+        }
+        std::size_t end = i + 1;
+        while (end < data.size() && strb[end])
+            ++end;
+        write(addr + i, end - i, data.data() + i);
+        i = end;
     }
 }
 

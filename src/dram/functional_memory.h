@@ -10,6 +10,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -30,8 +31,11 @@ class FunctionalMemory
     /** Write @p len bytes from @p src at @p addr. */
     void write(Addr addr, std::size_t len, const u8 *src);
 
-    /** Write with a per-byte strobe (empty strobe = all bytes). */
-    void writeMasked(Addr addr, const std::vector<u8> &data,
+    /**
+     * Write with a per-byte strobe (empty strobe = all bytes). Each
+     * contiguous run of enabled bytes is one write().
+     */
+    void writeMasked(Addr addr, std::span<const u8> data,
                      const std::vector<bool> &strb);
 
     /** Convenience typed accessors (native endianness). */

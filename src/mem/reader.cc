@@ -194,7 +194,7 @@ Reader::drainToCore()
         const u64 want = _params.dataBytes - _wordStage.size();
         const u64 take = std::min<u64>(want, avail_end - txn.drained);
         const u8 *src = txn.bytes.data() + txn.startByte + txn.drained;
-        _wordStage.insert(_wordStage.end(), src, src + take);
+        _wordStage.append(src, src + take);
         txn.drained += take;
         if (txn.drained == txn.validBytes &&
             txn.bytes.size() ==

@@ -108,7 +108,7 @@ class Reader : public Module
 
     std::deque<Txn> _txns;      ///< in issue (= address) order
     std::size_t _reservedBeats = 0;
-    std::vector<u8> _wordStage; ///< width-converter staging bytes
+    Bytes _wordStage;           ///< width-converter staging bytes
 
     StatScalar *_statBytesRead;
     StatScalar *_statTxns;

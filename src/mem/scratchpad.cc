@@ -13,9 +13,6 @@ Scratchpad::Scratchpad(Simulator &sim, std::string name,
     : Module(sim, std::move(name)),
       _params(params),
       _initReader(init_reader),
-      _storage(static_cast<std::size_t>(params.nDatas) *
-                   params.rowBytes(),
-               0),
       _stall(sim, Module::name())
 {
     beethoven_assert(params.nPorts >= 1, "scratchpad with zero ports");
@@ -89,32 +86,53 @@ Scratchpad::addIntraCoreWritePort()
     return *_intraPorts.back();
 }
 
+void
+Scratchpad::writeRow(u32 row, std::span<const u8> data)
+{
+    beethoven_assert(row < _params.nDatas, "write row %u out of range",
+                     row);
+    const std::size_t rb = _params.rowBytes();
+    beethoven_assert(data.size() == rb,
+                     "write data size %zu != row bytes %zu", data.size(),
+                     rb);
+    if (_storage.empty())
+        _storage.assign(std::size_t(_params.nDatas) * rb, 0);
+    std::memcpy(_storage.data() + std::size_t(row) * rb, data.data(), rb);
+}
+
+void
+Scratchpad::readRow(u32 row, Bytes &out) const
+{
+    beethoven_assert(row < _params.nDatas, "read row %u out of range",
+                     row);
+    const std::size_t rb = _params.rowBytes();
+    if (_storage.empty()) {
+        out.assign(rb, 0);
+        return;
+    }
+    const u8 *base = _storage.data() + std::size_t(row) * rb;
+    out.assign(base, base + rb);
+}
+
 std::vector<u8>
 Scratchpad::peek(u32 row) const
 {
-    beethoven_assert(row < _params.nDatas, "peek row %u out of range",
-                     row);
-    const std::size_t rb = _params.rowBytes();
-    const u8 *base = _storage.data() + std::size_t(row) * rb;
-    return std::vector<u8>(base, base + rb);
+    Bytes bytes;
+    readRow(row, bytes);
+    return std::vector<u8>(bytes.begin(), bytes.end());
 }
 
 void
 Scratchpad::poke(u32 row, const std::vector<u8> &data)
 {
-    beethoven_assert(row < _params.nDatas, "poke row %u out of range",
-                     row);
-    const std::size_t rb = _params.rowBytes();
-    beethoven_assert(data.size() == rb,
-                     "poke data size %zu != row bytes %zu", data.size(),
-                     rb);
-    std::memcpy(_storage.data() + std::size_t(row) * rb, data.data(), rb);
+    writeRow(row, data);
 }
 
 u64
 Scratchpad::peekUint(u32 row) const
 {
-    const auto bytes = peek(row);
+    Bytes bytes;
+    readRow(row, bytes);
     u64 v = 0;
     for (std::size_t i = 0; i < bytes.size() && i < 8; ++i)
         v |= u64(bytes[i]) << (8 * i);
@@ -143,15 +161,15 @@ Scratchpad::tick()
             continue;
         const SpadRequest &req = req_q.front();
         if (req.write) {
-            SpadRequest w = req_q.pop();
-            poke(w.row, w.data);
+            writeRow(req.row, req.data);
+            req_q.pop();
             ++_accesses;
             did = true;
         } else if (resp_q.canPush()) {
-            SpadRequest r = req_q.pop();
             SpadResponse resp;
-            resp.row = r.row;
-            resp.data = peek(r.row);
+            resp.row = req.row;
+            readRow(req.row, resp.data);
+            req_q.pop();
             resp_q.push(std::move(resp));
             ++_accesses;
             did = true;
@@ -163,16 +181,18 @@ Scratchpad::tick()
     // Intra-core write ports are write-only.
     for (auto &port : _intraPorts) {
         if (port->canPop()) {
-            SpadRequest w = port->pop();
+            const SpadRequest &w = port->front();
             beethoven_assert(w.write,
                              "read request on intra-core write port");
-            poke(w.row, w.data);
+            writeRow(w.row, w.data);
+            port->pop();
             ++_accesses;
             did = true;
         }
     }
 
-    if (serveInit())
+    bool token_blocked = false;
+    if (serveInit(token_blocked))
         did = true;
 
     if (did) {
@@ -180,9 +200,10 @@ Scratchpad::tick()
         return;
     }
     // Blocked or idle: every way forward is a port push, a response
-    // drain, or the init reader returning rows — all wired wakes.
+    // drain, a done-token drain, or the init reader returning rows —
+    // all wired wakes.
     StallClass c = StallClass::Idle;
-    if (read_blocked)
+    if (read_blocked || token_blocked)
         c = StallClass::StallDownstream;
     else if (_initActive)
         c = StallClass::StallMem;
@@ -191,22 +212,28 @@ Scratchpad::tick()
 }
 
 bool
-Scratchpad::serveInit()
+Scratchpad::serveInit(bool &token_blocked)
 {
     if (!_params.supportsInit)
         return false;
     bool did = false;
 
     if (!_initActive && _initQ->canPop()) {
-        const SpadInitCommand cmd = _initQ->pop();
+        const SpadInitCommand cmd = _initQ->front();
         beethoven_assert(u64(cmd.rowOffset) + cmd.rows <= _params.nDatas,
                          "init range [%u, +%u) exceeds %u rows",
                          cmd.rowOffset, cmd.rows, _params.nDatas);
         if (cmd.rows == 0) {
-            if (_initDoneQ->canPush())
-                _initDoneQ->push(StreamDone{0});
+            // An empty init is done at once, but its command stays
+            // queued until the token has room.
+            token_blocked = !_initDoneQ->canPush();
+            if (token_blocked)
+                return false;
+            _initQ->pop();
+            _initDoneQ->push(StreamDone{0});
             return true;
         }
+        _initQ->pop();
         did = true;
         _initActive = true;
         _initRow = cmd.rowOffset;
@@ -219,20 +246,24 @@ Scratchpad::serveInit()
         _initReader->cmdPort().push(rc);
     }
 
-    if (_initActive && _initReader->dataPort().canPop()) {
-        StreamWord w = _initReader->dataPort().pop();
-        poke(_initRow, w.data);
+    if (_initActive && _initRowsLeft > 0 &&
+        _initReader->dataPort().canPop()) {
+        writeRow(_initRow, _initReader->dataPort().front().data);
+        _initReader->dataPort().pop();
         ++_accesses;
         ++_initRow;
         --_initRowsLeft;
         did = true;
-        if (_initRowsLeft == 0) {
+    }
+
+    // A filled init stays active, holding its token, until the done
+    // queue has room.
+    if (_initActive && _initRowsLeft == 0) {
+        token_blocked = !_initDoneQ->canPush();
+        if (!token_blocked) {
             _initActive = false;
-            if (_initDoneQ->canPush())
-                _initDoneQ->push(StreamDone{0});
-            else
-                warn("scratchpad %s init-done token dropped",
-                     name().c_str());
+            _initDoneQ->push(StreamDone{0});
+            did = true;
         }
     }
     return did;

@@ -17,6 +17,7 @@
 #define BEETHOVEN_MEM_SCRATCHPAD_H
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,14 +48,14 @@ struct SpadRequest
 {
     u32 row = 0;
     bool write = false;
-    std::vector<u8> data; ///< rowBytes when write
+    Bytes data; ///< rowBytes when write
 };
 
 /** A read response. */
 struct SpadResponse
 {
     u32 row = 0;
-    std::vector<u8> data;
+    Bytes data;
 };
 
 /** Init command: fill rows [rowOffset, rowOffset+rows) from memAddr. */
@@ -105,12 +106,27 @@ class Scratchpad : public Module
     void tick() override;
 
   private:
-    bool serveInit();
+    /**
+     * Serve the init path; sets @p token_blocked when a finished init
+     * holds its done token because the done queue is full.
+     */
+    bool serveInit(bool &token_blocked);
+
+    /** Copy @p data, exactly one row of bytes, into @p row. */
+    void writeRow(u32 row, std::span<const u8> data);
+
+    /** Copy @p row into @p out. */
+    void readRow(u32 row, Bytes &out) const;
 
     ScratchpadParams _params;
     Reader *_initReader;
 
-    std::vector<u8> _storage; ///< nDatas * rowBytes
+    /**
+     * nDatas * rowBytes, allocated on the first write; until then
+     * every row reads as zeros. SoCs elaborated only to be sized (the
+     * fit searches) never fill their rows.
+     */
+    std::vector<u8> _storage;
 
     std::vector<std::unique_ptr<TimedQueue<SpadRequest>>> _reqPorts;
     std::vector<std::unique_ptr<TimedQueue<SpadResponse>>> _respPorts;

@@ -6,8 +6,7 @@
 #ifndef BEETHOVEN_MEM_STREAM_TYPES_H
 #define BEETHOVEN_MEM_STREAM_TYPES_H
 
-#include <vector>
-
+#include "base/bytes.h"
 #include "base/types.h"
 
 namespace beethoven
@@ -27,7 +26,7 @@ struct StreamCommand
 /** One port-width word moving between a core and a Reader/Writer. */
 struct StreamWord
 {
-    std::vector<u8> data;
+    Bytes data;
 
     /** Little-endian value view of the first min(8, size) bytes. */
     u64

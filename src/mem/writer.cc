@@ -187,16 +187,22 @@ Writer::emitFlits()
         for (u32 b = 0; b < beats; ++b) {
             WriteBeat &beat = _open.beats[b];
             beat.data.assign(_bus.dataBytes, 0);
-            beat.strb.assign(_bus.dataBytes, false);
             beat.last = b + 1 == beats;
             const u64 beat_lo = u64(b) * _bus.dataBytes;
             const u64 beat_hi = beat_lo + _bus.dataBytes;
             const u64 valid_lo = std::max<u64>(beat_lo, offset);
             const u64 valid_hi =
                 std::min<u64>(beat_hi, offset + txn_bytes);
-            for (u64 i = valid_lo; i < valid_hi; ++i) {
-                beat.data[i - beat_lo] = _stage[i - offset];
-                beat.strb[i - beat_lo] = true;
+            const u64 lo = valid_lo - beat_lo;
+            const u64 n = valid_hi - valid_lo;
+            std::copy_n(_stage.data() + (valid_lo - offset), n,
+                        beat.data.data() + lo);
+            // Only a partial beat carries a strobe; empty means every
+            // byte is enabled.
+            if (n != _bus.dataBytes) {
+                beat.strb.assign(_bus.dataBytes, false);
+                std::fill_n(beat.strb.begin() + static_cast<long>(lo), n,
+                            true);
             }
         }
         _stage.erase(_stage.begin(),

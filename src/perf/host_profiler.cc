@@ -10,9 +10,7 @@ namespace beethoven
 {
 
 HostProfiler::HostProfiler(u32 period) : _period(period == 0 ? 1 : period)
-{
-    _commitId = componentId("(commit)");
-}
+{}
 
 u32
 HostProfiler::componentId(const std::string &name)

@@ -7,14 +7,13 @@
  * goes while the simulator produces those cycles.
  *
  * Attach a profiler to a Simulator (Simulator::attachHostProfiler) and
- * every step is accounted against named components: one component per
- * registered module, plus a builtin "(commit)" bucket for the
- * end-of-cycle commit phase. Attribution happens with a chain of
- * monotonic clock reads (one per tick the kernel runs on a measured
- * cycle), so per-component times are disjoint sub-intervals of the
- * measured step-loop total and always sum to <= it. The profile
- * describes the kernel that ran: under the event kernel a sleeping
- * module is not ticked and records no interval for that cycle.
+ * every step is accounted against named components, one per registered
+ * module. Attribution happens with a chain of monotonic clock reads
+ * (one per tick the kernel runs on a measured cycle), so per-component
+ * times are disjoint sub-intervals of the measured step-loop total and
+ * always sum to <= it. The profile describes the kernel that ran:
+ * under the event kernel a sleeping module is not ticked and records
+ * no interval for that cycle.
  *
  * One cycle in every `period` is timed (default 64, what
  * --host-profile uses): the measured shares estimate the true
@@ -56,9 +55,6 @@ class HostProfiler
 
     /** Get-or-create the component named @p name. */
     u32 componentId(const std::string &name);
-
-    /** Builtin bucket for the commit phase. */
-    u32 commitComponentId() const { return _commitId; }
 
     // ---- hot path (called by Simulator::step) ----------------------
 
@@ -138,7 +134,6 @@ class HostProfiler
     u64 _cycles = 0;
     u64 _sampledCycles = 0;
     u64 _totalNs = 0;
-    u32 _commitId = 0;
     std::vector<Component> _components;
     std::map<std::string, u32> _byName;
     std::vector<u64> _emittedNs; ///< per-component ns at last emission

@@ -4,17 +4,16 @@
  *
  * The kernel substitutes for RTL simulation of the elaborated Beethoven
  * SoC (the paper uses Verilator/VCS; see DESIGN.md). Hardware is
- * modeled as Modules connected by TimedQueues. Each simulated cycle has
- * two phases:
+ * modeled as Modules connected by TimedQueues. Each simulated cycle
+ * ticks the modules once, in registration order; a tick observes its
+ * input queues and pushes onto its outputs.
  *
- *   1. tick():   every module observes the *committed* state of its
- *                input queues and stages pushes onto its outputs;
- *   2. commit(): every queue publishes staged pushes and forgives the
- *                space freed by this cycle's pops.
- *
- * Because staged pushes and freed space only become visible at commit,
- * simulation results are independent of module tick order — the same
- * determinism a synchronous netlist provides.
+ * A queue stamps each push with the cycle it becomes visible (at least
+ * the next one) and counts each pop against its occupancy until the
+ * cycle ends, so nothing a tick does is observable by another tick in
+ * the same cycle: results are independent of module tick order — the
+ * same determinism a synchronous netlist provides — with no
+ * end-of-cycle commit phase.
  */
 
 #ifndef BEETHOVEN_SIM_MODULE_H
@@ -31,16 +30,6 @@ namespace beethoven
 class Simulator;
 class StallAccount;
 enum class StallClass : unsigned char;
-
-/** Anything with per-cycle end-of-cycle state publication. */
-class Committable
-{
-  public:
-    virtual ~Committable() = default;
-
-    /** Publish state staged during this cycle's tick phase. */
-    virtual void commit() = 0;
-};
 
 /**
  * A clocked hardware module.

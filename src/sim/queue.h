@@ -12,14 +12,16 @@
  *    cycle C+1 (registered occupancy);
  *  - at most `capacity` entries are in flight at once.
  *
- * Both rules make the observable state a function of the previous
- * cycle's commits only, so module tick order cannot change results.
+ * A push is stamped with its visibility cycle when it is made, and a
+ * pop counts against the occupancy until its cycle ends, so what any
+ * module observes is a function of the previous cycles only and tick
+ * order cannot change results. There is no end-of-cycle commit: the
+ * entries live in a `capacity`-slot ring allocated at construction.
  */
 
 #ifndef BEETHOVEN_SIM_QUEUE_H
 #define BEETHOVEN_SIM_QUEUE_H
 
-#include <deque>
 #include <source_location>
 #include <utility>
 #include <vector>
@@ -33,28 +35,27 @@ namespace beethoven
 {
 
 template <typename T>
-class TimedQueue : public Committable
+class TimedQueue
 {
   public:
     /**
-     * @param sim       owning simulator (for cycle time and commits)
+     * @param sim       owning simulator (for cycle time and wakes)
      * @param capacity  maximum in-flight entries (>= 1)
      * @param latency   cycles from push to pop visibility (>= 1)
      */
     TimedQueue(Simulator &sim, std::size_t capacity, unsigned latency = 1,
                std::source_location loc = std::source_location::current())
-        : _sim(sim), _capacity(capacity), _latency(latency)
+        : _sim(sim), _slots(capacity), _latency(latency)
     {
         beethoven_assert(capacity >= 1, "queue capacity must be >= 1");
         beethoven_assert(latency >= 1, "queue latency must be >= 1");
-        sim.registerCommittable(this);
         sim.graphRecord().registerQueue(this, capacity, latency,
                                         loc);
     }
 
     /**
      * Event-kernel wake wiring: wake @p consumer whenever an entry is
-     * pushed. Pushes wake twice — immediately (staged occupancy is
+     * pushed. Pushes wake twice — immediately (the new occupancy is
      * visible to later-ticking modules this cycle) and at push
      * visibility (cycle + latency, when the entry becomes poppable) —
      * so a consumer that wakes early, finds nothing poppable, and
@@ -114,28 +115,29 @@ class TimedQueue : public Committable
     bool
     canPush() const
     {
-        return occupancy() < _capacity;
+        return occupancy() < _slots.size();
     }
 
-    /** Stage a push; visible to the consumer after `latency` commits. */
+    /** Push; the entry becomes poppable at cycle + latency. */
     void
     push(T value)
     {
         beethoven_assert(canPush(), "push to full queue");
-        _pending.push_back(std::move(value));
+        Entry &e = _slots[wrap(_head + _count)];
+        e.readyAt = _sim.cycle() + _latency;
+        e.value = std::move(value);
+        ++_count;
         if (_wakeOnPush != nullptr) {
             _sim.wakeNow(_wakeOnPush);
             _sim.wakeAt(_wakeOnPush, _sim.cycle() + _latency);
         }
-        markDirty();
     }
 
     /** True if front() / pop() are legal this cycle. */
     bool
     canPop() const
     {
-        return !_entries.empty() &&
-               _entries.front().readyAt <= _sim.cycle();
+        return _count != 0 && _slots[_head].readyAt <= _sim.cycle();
     }
 
     bool empty() const { return !canPop(); }
@@ -145,7 +147,7 @@ class TimedQueue : public Committable
     front() const
     {
         beethoven_assert(canPop(), "front() on empty queue");
-        return _entries.front().value;
+        return _slots[_head].value;
     }
 
     /** Remove and return the oldest visible entry. */
@@ -153,23 +155,28 @@ class TimedQueue : public Committable
     pop()
     {
         beethoven_assert(canPop(), "pop() on empty queue");
-        T v = std::move(_entries.front().value);
-        _entries.pop_front();
-        ++_popsThisCycle;
+        T v = std::move(_slots[_head].value);
+        _head = wrap(_head + 1);
+        --_count;
+        const Cycle now = _sim.cycle();
+        if (_popCycle != now) {
+            _popCycle = now;
+            _pops = 0;
+        }
+        ++_pops;
         if (_wakeOnPop != nullptr)
-            _sim.wakeAt(_wakeOnPop, _sim.cycle() + 1);
-        markDirty();
+            _sim.wakeAt(_wakeOnPop, now + 1);
         return v;
     }
 
-    /** Entries currently occupying space (committed + staged). */
+    /** Entries occupying space: queued ones plus this cycle's pops. */
     std::size_t
     occupancy() const
     {
-        return _entries.size() + _pending.size() + _popsThisCycle;
+        return _count + (_popCycle == _sim.cycle() ? _pops : 0);
     }
 
-    std::size_t capacity() const { return _capacity; }
+    std::size_t capacity() const { return _slots.size(); }
     unsigned latency() const { return _latency; }
 
     /** Number of entries poppable this cycle. */
@@ -177,53 +184,35 @@ class TimedQueue : public Committable
     visibleSize() const
     {
         std::size_t n = 0;
-        for (const auto &e : _entries) {
-            if (e.readyAt > _sim.cycle())
-                break;
+        while (n < _count &&
+               _slots[wrap(_head + n)].readyAt <= _sim.cycle())
             ++n;
-        }
         return n;
-    }
-
-    void
-    commit() override
-    {
-        // Pushes staged during cycle C commit as C completes and become
-        // visible once the simulator reaches C + latency.
-        const Cycle ready_at = _sim.cycle() + _latency;
-        for (auto &v : _pending)
-            _entries.push_back(Entry{ready_at, std::move(v)});
-        _pending.clear();
-        _popsThisCycle = 0;
-        _dirty = false;
     }
 
   private:
     struct Entry
     {
-        Cycle readyAt;
-        T value;
+        Cycle readyAt = 0;
+        T value{};
     };
 
-    /** First push/pop of the cycle enrols this queue for commit. */
-    void
-    markDirty()
+    /** Ring index of @p i, which is below twice the capacity. */
+    std::size_t
+    wrap(std::size_t i) const
     {
-        if (!_dirty && _sim.eventKernel()) {
-            _dirty = true;
-            _sim.markDirty(this);
-        }
+        return i >= _slots.size() ? i - _slots.size() : i;
     }
 
     Simulator &_sim;
-    std::size_t _capacity;
+    std::vector<Entry> _slots;
     unsigned _latency;
-    std::deque<Entry> _entries;
-    std::vector<T> _pending;
-    std::size_t _popsThisCycle = 0;
+    std::size_t _head = 0;  ///< slot of the oldest entry
+    std::size_t _count = 0; ///< entries in the ring
+    Cycle _popCycle = 0;    ///< cycle the pops in _pops were made in
+    std::size_t _pops = 0;
     Module *_wakeOnPush = nullptr;
     Module *_wakeOnPop = nullptr;
-    bool _dirty = false;
 };
 
 } // namespace beethoven

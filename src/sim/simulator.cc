@@ -122,9 +122,6 @@ Simulator::setKernel(SimKernel k)
         for (Module *m : _modules)
             m->_awake = true;
     }
-    // The dirty list is kept: a queue staged before the switch still
-    // commits on the next event step, and re-committing a queue the
-    // tick kernel already committed is a no-op.
 }
 
 void
@@ -190,11 +187,10 @@ void
 Simulator::step()
 {
     gSimThreadRole.assertHeld();
-    // The tick kernel ticks every module and commits every queue; it
-    // reads neither the awake flags nor the dirty list, so the
-    // differential reference stays independent of the wake machinery.
-    // The event kernel drains due wakes, skips sleepers and commits
-    // only the queues that staged something this cycle.
+    // The tick kernel ticks every module; it never reads the awake
+    // flags, so the differential reference stays independent of the
+    // wake machinery. The event kernel drains due wakes and skips
+    // sleepers.
     const bool event = _kernel == SimKernel::Event;
     if (event)
         _wheel.drain(_cycle, [](Module *m) { m->_awake = true; });
@@ -230,20 +226,8 @@ Simulator::step()
     }
     _inTickPhase = false;
     g_moduleTicks += ticks;
-
-    // A clean TimedQueue commit is a no-op, so the event kernel's
-    // dirty list publishes exactly what committing everything would.
-    std::vector<Committable *> &commits = event ? _dirtyCommits : _commits;
-    for (Committable *c : commits)
-        c->commit();
-    if (event)
-        _dirtyCommits.clear();
-
-    if (measured) {
-        const u64 t_end = hostNowNs();
-        _hostProf->add(_hostProf->commitComponentId(), t_end - t_prev);
-        _hostProf->addTotal(t_end - t_start);
-    }
+    if (measured)
+        _hostProf->addTotal(t_prev - t_start);
 
     ++_cycle;
     ++g_simCycles;

@@ -60,13 +60,12 @@ class Invariant
 };
 
 /**
- * Which modules step() ticks and which queues it commits (see
- * DESIGN.md §3/§4a).
+ * Which modules step() ticks (see DESIGN.md §3/§4a).
  *
  * Both kernels step cycle-by-cycle through the same loop and produce
  * bit-identical results; the event kernel skips the tick of every
- * quiescent module and commits only dirty queues. Tick remains the
- * reference kernel the differential harness compares against.
+ * quiescent module. Tick remains the reference kernel the differential
+ * harness compares against.
  */
 enum class SimKernel
 {
@@ -77,7 +76,7 @@ enum class SimKernel
 const char *simKernelName(SimKernel k);
 
 /**
- * Clocks registered Modules and commits registered Committables.
+ * Clocks registered Modules.
  *
  * The simulator holds non-owning pointers; the elaborated SoC owns all
  * modules and queues and must outlive simulation.
@@ -107,19 +106,13 @@ class Simulator
     SimGraphRecord &graphRecord() { return _graph; }
     const SimGraphRecord &graphRecord() const { return _graph; }
 
-    /** Register a queue (or other state) for end-of-cycle commits. */
-    void registerCommittable(Committable *c) { _commits.push_back(c); }
-
     /** Register a stall account (called by StallAccount's constructor). */
     void registerStallAccount(StallAccount *a)
     {
         _stallAccounts.push_back(a);
     }
 
-    /**
-     * Advance one cycle: tick the modules the kernel schedules, then
-     * commit the state they staged.
-     */
+    /** Advance one cycle: tick the modules the kernel schedules. */
     void step();
 
     /** Advance @p n cycles. */
@@ -142,10 +135,7 @@ class Simulator
     void setKernel(SimKernel k);
     SimKernel kernel() const { return _kernel; }
 
-    /**
-     * True under the event kernel: sleep requests take effect and
-     * queues track dirty state for selective commit.
-     */
+    /** True under the event kernel: sleep requests take effect. */
     bool eventKernel() const { return _kernel == SimKernel::Event; }
 
     /**
@@ -189,18 +179,6 @@ class Simulator
 
     /** Mark @p m quiescent (the Module::requestSleep back end). */
     void sleepModule(Module *m) { m->_awake = false; }
-
-    /**
-     * Note that @p c staged state this cycle; the event kernel commits
-     * only dirty committables (a clean TimedQueue commit is a no-op).
-     * Callers must not re-mark until the next cycle (guard with their
-     * own dirty flag).
-     */
-    void markDirty(Committable *c)
-    {
-        gSimThreadRole.assertHeld();
-        _dirtyCommits.push_back(c);
-    }
 
     /** Modules awake right now (the event kernel's active set size). */
     std::size_t activeModules() const;
@@ -360,9 +338,7 @@ class Simulator
     Cycle _cycle = 0;
     SimKernel _kernel = SimKernel::Event;
     std::vector<Module *> _modules;
-    std::vector<Committable *> _commits;
     WakeWheel _wheel BTH_GUARDED_BY(gSimThreadRole);
-    std::vector<Committable *> _dirtyCommits BTH_GUARDED_BY(gSimThreadRole);
     bool _inTickPhase BTH_GUARDED_BY(gSimThreadRole) = false;
     /** Index of the module currently ticking. */
     std::size_t _cursor BTH_GUARDED_BY(gSimThreadRole) = 0;

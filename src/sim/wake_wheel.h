@@ -10,7 +10,11 @@
  *
  * Entries are (cycle, module) pairs; duplicates are allowed (draining
  * an already-awake module is a harmless no-op), which lets producers
- * re-arm consumers without coordinating.
+ * re-arm consumers without coordinating. Each slot is a singly linked
+ * list threaded through one entry pool with a free list, so once the
+ * pool has grown to the peak number of armed wakes, scheduling and
+ * draining allocate nothing. The order of entries within a slot is
+ * unobservable: draining only sets awake flags.
  */
 
 #ifndef BEETHOVEN_SIM_WAKE_WHEEL_H
@@ -32,7 +36,7 @@ class Module;
 class WakeWheel
 {
   public:
-    explicit WakeWheel(std::size_t slots = 1024) : _slots(slots)
+    explicit WakeWheel(std::size_t slots = 1024) : _heads(slots, kNone)
     {
         beethoven_assert(slots >= 2, "wake wheel needs >= 2 slots");
     }
@@ -46,10 +50,21 @@ class WakeWheel
     schedule(Cycle now, Cycle at, Module *m) BTH_REQUIRES(gSimThreadRole)
     {
         beethoven_assert(at > now, "wheel wake must be in the future");
-        if (at - now < _slots.size())
-            _slots[at % _slots.size()].push_back(Entry{at, m});
-        else
+        if (at - now >= _heads.size()) {
             _far.push(Entry{at, m});
+            return;
+        }
+        u32 i = _free;
+        if (i == kNone) {
+            i = static_cast<u32>(_pool.size());
+            _pool.emplace_back();
+        } else {
+            _free = _pool[i].next;
+        }
+        u32 &head = _heads[at % _heads.size()];
+        _pool[i] = Node{at, m, head};
+        head = i;
+        ++_ringEntries;
     }
 
     /**
@@ -61,16 +76,25 @@ class WakeWheel
     void
     drain(Cycle now, Fn &&fn) BTH_REQUIRES(gSimThreadRole)
     {
-        std::vector<Entry> &slot = _slots[now % _slots.size()];
-        if (!slot.empty()) {
-            std::size_t keep = 0;
-            for (std::size_t i = 0; i < slot.size(); ++i) {
-                if (slot[i].at <= now)
-                    fn(slot[i].m);
-                else
-                    slot[keep++] = slot[i];
+        // @p fn may schedule (growing the pool, so no references into
+        // it are held across the call), but never into this slot: ring
+        // wakes are less than a revolution out.
+        const std::size_t slot = now % _heads.size();
+        u32 prev = kNone;
+        u32 i = _heads[slot];
+        while (i != kNone) {
+            const Node n = _pool[i];
+            if (n.at > now) {
+                prev = i;
+                i = n.next;
+                continue;
             }
-            slot.resize(keep);
+            (prev == kNone ? _heads[slot] : _pool[prev].next) = n.next;
+            _pool[i].next = _free;
+            _free = i;
+            --_ringEntries;
+            fn(n.m);
+            i = n.next;
         }
         while (!_far.empty() && _far.top().at <= now) {
             // Heap entries a revolution out become due without ever
@@ -84,13 +108,19 @@ class WakeWheel
     std::size_t
     pending() const BTH_REQUIRES(gSimThreadRole)
     {
-        std::size_t n = _far.size();
-        for (const auto &slot : _slots)
-            n += slot.size();
-        return n;
+        return _far.size() + _ringEntries;
     }
 
   private:
+    static constexpr u32 kNone = ~u32(0);
+
+    /** A ring entry; `next` links its slot's list or the free list. */
+    struct Node
+    {
+        Cycle at = 0;
+        Module *m = nullptr;
+        u32 next = kNone;
+    };
     struct Entry
     {
         Cycle at;
@@ -104,7 +134,11 @@ class WakeWheel
         }
     };
 
-    std::vector<std::vector<Entry>> _slots BTH_GUARDED_BY(gSimThreadRole);
+    /** Per-slot list head (pool index, kNone when empty). */
+    std::vector<u32> _heads BTH_GUARDED_BY(gSimThreadRole);
+    std::vector<Node> _pool BTH_GUARDED_BY(gSimThreadRole);
+    u32 _free BTH_GUARDED_BY(gSimThreadRole) = kNone;
+    std::size_t _ringEntries BTH_GUARDED_BY(gSimThreadRole) = 0;
     std::priority_queue<Entry, std::vector<Entry>, Later> _far
         BTH_GUARDED_BY(gSimThreadRole);
 };

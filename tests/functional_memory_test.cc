@@ -87,6 +87,29 @@ TEST(FunctionalMemory, EmptyStrobeWritesEverything)
     EXPECT_EQ(out, data);
 }
 
+TEST(FunctionalMemory, MaskedWriteRunsMayCrossPages)
+{
+    // Two enabled runs; the second straddles the 4 KiB page boundary.
+    FunctionalMemory mem;
+    const Addr base = FunctionalMemory::pageBytes - 8;
+    const std::vector<u8> old(16, 0xAA);
+    mem.write(base, old.size(), old.data());
+
+    std::vector<u8> data(16);
+    for (unsigned i = 0; i < 16; ++i)
+        data[i] = static_cast<u8>(i + 1);
+    std::vector<bool> strb(16, false);
+    for (unsigned i : {1u, 2u, 6u, 7u, 8u, 9u, 10u})
+        strb[i] = true;
+    mem.writeMasked(base, data, strb);
+
+    std::vector<u8> out(16);
+    mem.read(base, out.size(), out.data());
+    for (unsigned i = 0; i < 16; ++i)
+        EXPECT_EQ(out[i], strb[i] ? data[i] : 0xAA) << "byte " << i;
+    EXPECT_EQ(mem.numPages(), 2u);
+}
+
 TEST(FunctionalMemory, RandomSparseTraffic)
 {
     FunctionalMemory mem;

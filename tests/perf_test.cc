@@ -80,8 +80,7 @@ TEST(HostProfiler, ScopedComponentTimesSumToAtMostTotal)
     EXPECT_LE(sum, prof.totalNs());
     EXPECT_GT(prof.totalNs(), 0u);
 
-    // The heavy module must dominate the breakdown, and the builtin
-    // commit bucket must exist (empty here: no Committables).
+    // The heavy module must dominate the breakdown.
     const auto top = prof.top(1);
     ASSERT_EQ(top.size(), 1u);
     EXPECT_EQ(top[0].name, "heavy");
@@ -238,12 +237,12 @@ TEST(HostProfiler, ProfiledEventRunTicksOnlyAwakeModules)
     EXPECT_EQ(plain.digest, profiled.digest);
     EXPECT_EQ(plain.moduleTicks, profiled.moduleTicks);
 
-    // Period 1 times every tick the kernel runs: one interval each.
+    // Period 1 times every tick the kernel runs: one interval each,
+    // and every component is a module.
     u64 module_calls = 0;
     const HostProfiler::Component *ddr = nullptr;
     for (const auto &c : scoped.components()) {
-        if (c.name != "(commit)")
-            module_calls += c.calls;
+        module_calls += c.calls;
         if (c.name == "ddr")
             ddr = &c;
     }

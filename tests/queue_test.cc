@@ -13,7 +13,7 @@ namespace beethoven
 namespace
 {
 
-/** A module-free driver: we tick/commit by stepping the simulator. */
+/** A module-free driver: cycles advance by stepping the simulator. */
 struct QueueHarness
 {
     Simulator sim;
@@ -39,7 +39,7 @@ TEST_P(QueueLatency, VisibilityDelayedExactly)
     QueueHarness h;
     TimedQueue<int> q(h.sim, 8, latency);
     q.push(7);
-    h.sim.step(); // commit happens at the end of the push cycle
+    h.sim.step(); // the push cycle ends
     for (unsigned c = 1; c < latency; ++c) {
         EXPECT_FALSE(q.canPop()) << "visible too early at +" << c;
         h.sim.step();
@@ -68,7 +68,7 @@ TEST(TimedQueue, PopFreesSpaceNextCycleOnly)
     h.sim.step();
     ASSERT_TRUE(q.canPop());
     EXPECT_EQ(q.pop(), 1);
-    // Registered occupancy: space frees only after commit.
+    // Registered occupancy: space frees only when the cycle ends.
     EXPECT_FALSE(q.canPush());
     h.sim.step();
     EXPECT_TRUE(q.canPush());
@@ -112,6 +112,81 @@ TEST(TimedQueue, MoveOnlyPayloads)
     auto p = q.pop();
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(*p, 9);
+}
+
+TEST(TimedQueue, RingWrapsAtCapacityWithLatency)
+{
+    // Capacity 3, latency 3: a consumer that pops every entry the
+    // cycle it turns visible and a producer that pushes whenever there
+    // is room wrap the 3-slot ring several times; every entry arrives
+    // in order exactly `latency` cycles after its push.
+    QueueHarness h;
+    TimedQueue<int> q(h.sim, 3, 3);
+    std::vector<Cycle> pushed_at;
+    std::vector<std::pair<Cycle, int>> popped;
+    for (int c = 0; c < 40; ++c) {
+        if (q.canPop())
+            popped.emplace_back(h.sim.cycle(), q.pop());
+        if (q.canPush()) {
+            q.push(int(pushed_at.size()));
+            pushed_at.push_back(h.sim.cycle());
+        }
+        EXPECT_LE(q.occupancy(), 3u);
+        h.sim.step();
+    }
+    ASSERT_GE(popped.size(), 9u) << "the ring must wrap at least twice";
+    for (std::size_t i = 0; i < popped.size(); ++i) {
+        EXPECT_EQ(popped[i].second, int(i));
+        EXPECT_EQ(popped[i].first, pushed_at[i] + 3) << "entry " << i;
+    }
+    // The first three pushes fill the ring; the pop at cycle 3 frees
+    // a slot only from cycle 4.
+    EXPECT_EQ(pushed_at[2], 2u);
+    EXPECT_EQ(pushed_at[3], 4u);
+}
+
+TEST(TimedQueue, SpaceFreedAfterWrapVisibleNextCycle)
+{
+    QueueHarness h;
+    TimedQueue<int> q(h.sim, 2, 1);
+    q.push(0);
+    q.push(1);
+    h.sim.step();
+    EXPECT_EQ(q.pop(), 0);
+    EXPECT_FALSE(q.canPush());
+    h.sim.step();
+    q.push(2); // lands in the ring's first slot again
+    EXPECT_EQ(q.pop(), 1);
+    EXPECT_FALSE(q.canPush()) << "the pop's slot frees next cycle";
+    EXPECT_EQ(q.occupancy(), 2u);
+    h.sim.step();
+    EXPECT_TRUE(q.canPush());
+    EXPECT_EQ(q.occupancy(), 1u);
+    EXPECT_EQ(q.pop(), 2);
+}
+
+TEST(TimedQueue, HostPushBeforeFirstStepVisibleAfterLatency)
+{
+    // Host code pushes outside any tick; before the first step() the
+    // cycle is 0, so the entry is poppable at cycle `latency`. A host
+    // push between steps is stamped with the cycle about to run.
+    QueueHarness h;
+    TimedQueue<int> q(h.sim, 4, 3);
+    q.push(5);
+    EXPECT_EQ(q.occupancy(), 1u);
+    for (Cycle c = 0; c < 3; ++c) {
+        EXPECT_FALSE(q.canPop()) << "visible too early at " << c;
+        h.sim.step();
+    }
+    ASSERT_TRUE(q.canPop());
+    EXPECT_EQ(q.pop(), 5);
+    q.push(6); // at cycle 3
+    h.sim.run(2);
+    EXPECT_FALSE(q.canPop());
+    h.sim.step();
+    EXPECT_EQ(h.sim.cycle(), 6u);
+    ASSERT_TRUE(q.canPop());
+    EXPECT_EQ(q.pop(), 6);
 }
 
 /**

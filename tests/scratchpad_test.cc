@@ -197,6 +197,57 @@ TEST(Scratchpad, InitFromMemoryThroughReader)
     EXPECT_EQ(spad.peekUint(63), 0ull);
 }
 
+TEST(Scratchpad, InitDoneTokenWaitsForRoom)
+{
+    // Three back-to-back inits, two of them empty, with nobody popping
+    // the depth-2 done queue: the third token waits in the scratchpad
+    // (which reports the wait as downstream stall) instead of being
+    // dropped, and arrives once a token is popped.
+    Simulator sim;
+    FunctionalMemory mem;
+    DramController::Config cfg;
+    cfg.axi.dataBytes = 64;
+    DramController ctrl(sim, "ddr", cfg, mem);
+    ScratchpadParams p;
+    p.dataWidthBits = 128;
+    p.nDatas = 16;
+    ReaderParams rp;
+    rp.dataBytes = 16;
+    Reader init_reader(sim, "init", rp, cfg.axi, 0, &ctrl.arPort(),
+                       &ctrl.rPort());
+    Scratchpad spad(sim, "spad", p, &init_reader);
+
+    for (const SpadInitCommand &cmd : {SpadInitCommand{0x1000, 0, 4},
+                                       SpadInitCommand{0, 0, 0},
+                                       SpadInitCommand{0x2000, 4, 4}}) {
+        ASSERT_TRUE(sim.runUntil(
+            [&] { return spad.initPort().canPush(); }, 1000));
+        spad.initPort().push(cmd);
+    }
+    sim.run(2000);
+    EXPECT_EQ(spad.initDonePort().occupancy(), 2u);
+
+    unsigned tokens = 0;
+    ASSERT_TRUE(sim.runUntil(
+        [&] {
+            if (spad.initDonePort().canPop()) {
+                spad.initDonePort().pop();
+                ++tokens;
+            }
+            return tokens == 3;
+        },
+        100));
+    EXPECT_FALSE(spad.initDonePort().canPop());
+
+    // The slept wait is backfilled as downstream stall on waking.
+    const StallAccount *acct = nullptr;
+    for (const StallAccount *a : sim.stallAccounts())
+        if (a->name() == "spad")
+            acct = a;
+    ASSERT_NE(acct, nullptr);
+    EXPECT_GT(acct->count(StallClass::StallDownstream), 1000u);
+}
+
 TEST(Scratchpad, InitRangeValidation)
 {
     Simulator sim;

@@ -39,7 +39,7 @@ struct ReadRequest
     u32 id = 0;     ///< AXI ID (selects the ordering stream)
     Addr addr = 0;  ///< byte address, beat-aligned
     u32 beats = 1;  ///< burst length in bus beats
-    u64 tag = 0;    ///< framework-internal transaction tag (not AXI)
+    u64 tag = 0;    ///< Simulator::nextTag label (not AXI)
 };
 
 /** R-channel flit: one beat of read data. */
@@ -101,14 +101,6 @@ struct WriteFlitLock
         return f.hasHeader ? f.header.beats - 1 : 0;
     }
 };
-
-/**
- * Process-wide unique transaction tag source. Tags are a framework
- * modeling convenience (they let monitors and timelines associate
- * request and response beats); they are not part of the AXI protocol
- * and carry no hardware cost.
- */
-u64 nextGlobalTag();
 
 } // namespace beethoven
 

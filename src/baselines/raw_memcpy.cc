@@ -75,9 +75,9 @@ RawAxiMemcpy::issueReads()
                   : 0);
     req.addr = _src + _readIssuedBytes;
     req.beats = static_cast<u32>(divCeil(bytes, _busBytes));
-    req.tag = nextGlobalTag();
+    req.tag = sim().nextTag();
     _ctrl.arPort().push(req);
-    _reads.emplace(req.tag, ReadTxn{_readIssuedBytes, 0, bytes});
+    _reads.emplace(req.tag, PendingRead{_readIssuedBytes, 0, bytes});
     _readIssuedBytes += bytes;
     ++_txnSeqRead;
 }
@@ -90,7 +90,7 @@ RawAxiMemcpy::receiveReadData()
     ReadBeat beat = _ctrl.rPort().pop();
     auto it = _reads.find(beat.tag);
     beethoven_assert(it != _reads.end(), "R beat for unknown tag");
-    ReadTxn &txn = it->second;
+    PendingRead &txn = it->second;
     const u64 dst_off = txn.offset + txn.received;
     const u64 n = std::min<u64>(beat.data.size(), txn.bytes - txn.received);
     std::copy_n(beat.data.begin(), n, _buffer.begin() + dst_off);
@@ -151,7 +151,7 @@ RawAxiMemcpy::issueWrites()
                        : 0);
     _wHeader.addr = _dst + _writeIssuedBytes;
     _wHeader.beats = static_cast<u32>(divCeil(bytes, _busBytes));
-    _wHeader.tag = nextGlobalTag();
+    _wHeader.tag = sim().nextTag();
     _wOffset = _writeIssuedBytes;
     _wBeatsLeft = _wHeader.beats;
     _wHeaderSent = false;

@@ -79,13 +79,13 @@ class RawAxiMemcpy : public Module
 
     std::vector<u8> _buffer; ///< staging for the whole copy
     /** Outstanding reads: tag -> (start offset, bytes received). */
-    struct ReadTxn
+    struct PendingRead
     {
         u64 offset;
         u64 received = 0;
         u64 bytes;
     };
-    std::map<u64, ReadTxn> _reads;
+    std::map<u64, PendingRead> _reads;
     std::map<u64, u64> _writeBytes;  ///< tag -> burst bytes
     std::vector<bool> _beatReceived; ///< per-beat arrival bitmap
 

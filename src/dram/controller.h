@@ -14,6 +14,11 @@
  *    is eligible for scheduling, so single-ID request streams serialize
  *    (the HLS behaviour in Figs. 4/5) while multi-ID streams overlap
  *    (Beethoven's transaction-level parallelism).
+ *
+ * Reads and writes share one transaction model: each direction keeps a
+ * queue of bursts per active AXI ID, oldest first, and every scheduler
+ * pass walks reads by ascending ID and then writes, so all first-wins
+ * tie-breaks follow that order. Tags are opaque labels echoed on R/B.
  */
 
 #ifndef BEETHOVEN_DRAM_CONTROLLER_H
@@ -22,8 +27,6 @@
 #include <deque>
 #include <iosfwd>
 #include <map>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "axi/axi_types.h"
@@ -102,37 +105,59 @@ class DramController : public Module
     void tick() override;
 
   private:
-    struct ReadTxn
+    /** One beat of a burst. */
+    struct Beat
     {
-        u64 seq = 0; ///< controller arrival order (FCFS age)
-        u64 tag = 0;
-        u32 id = 0;
-        Cycle acceptedAt = 0; ///< AR accept, for latency spans
-        Addr addr = 0;
-        u32 beats = 0;
-        u32 beatsIssued = 0; ///< count of issued column commands
-        u32 firstUnissued = 0;
-        u32 beatsSent = 0;
-        std::vector<bool> issued;              ///< per-beat issue flag
-        std::vector<Cycle> beatReadyAt;        ///< 0 = not yet issued
-        std::vector<Bytes> beatData;           ///< captured at issue
-        std::vector<DramCoord> beatCoord;      ///< mapped once at accept
+        DramCoord coord;     ///< mapped once at accept
+        bool issued = false; ///< column command issued
+        Cycle readyAt = 0;   ///< read data ready on the bus (reads only)
+        Bytes data;          ///< read: captured at issue; write: W data
     };
 
-    struct WriteTxn
+    /** One read or write burst. */
+    struct Txn
     {
-        u64 seq = 0;
-        u64 tag = 0;
+        u64 seq = 0;          ///< controller arrival order (FCFS age)
+        u64 tag = 0;          ///< opaque label, echoed on R and B
         u32 id = 0;
-        Cycle acceptedAt = 0; ///< AW accept, for latency spans
+        Cycle acceptedAt = 0; ///< AR/AW accept, for latency spans
         Addr addr = 0;
         u32 beats = 0;
-        u32 beatsReceived = 0;
-        u32 beatsIssued = 0;
+        /** Beats the scheduler may see: every beat of a read, the W
+         *  beats received so far of a write. */
+        u32 beatsHere = 0;
+        u32 beatsIssued = 0; ///< count of issued column commands
         u32 firstUnissued = 0;
-        std::vector<bool> issued;
-        std::vector<WriteBeat> data;
-        std::vector<DramCoord> beatCoord; ///< mapped once at accept
+        u32 beatsSent = 0; ///< R beats returned (reads only)
+        std::vector<Beat> beat;
+        /** Per-beat write strobes, allocated when the first partial
+         *  beat arrives; an empty entry enables every byte. */
+        std::vector<std::vector<bool>> strb;
+
+        /** An arrived beat still awaits its column command. */
+        bool waiting() const { return firstUnissued < beatsHere; }
+    };
+
+    /** The transactions of one AXI ID, oldest first. Only the head may
+     *  be scheduled, which is the whole of AXI same-ID ordering. */
+    struct IdQueue
+    {
+        std::deque<Txn> txns;
+        Cycle readyAt = 0; ///< same-ID recycle gate for the head
+        /** Per-ID stall split, made at the ID's first wait: cycles the
+         *  head waited on the recycle gate (queueWait) vs. on bank
+         *  timing / bus arbitration (bankWait). */
+        StatScalar *queueWait = nullptr;
+        StatScalar *bankWait = nullptr;
+    };
+
+    /** One direction: reads ([0]) or writes ([1]). */
+    struct Side
+    {
+        /** IDs with transactions, ascending; an ID is erased when its
+         *  last transaction retires. */
+        std::map<u32, IdQueue> ids;
+        std::size_t count = 0; ///< transactions across all IDs
     };
 
     struct BankState
@@ -148,10 +173,9 @@ class DramController : public Module
     struct Candidate
     {
         bool isWrite = false;
-        u64 txnKey = 0; ///< tag-keyed map lookup
+        Txn *txn = nullptr;
         u64 seq = 0;
         u32 beatIdx = 0;
-        Addr beatAddr = 0;
         DramCoord coord;
     };
 
@@ -164,10 +188,15 @@ class DramController : public Module
     };
 
     bool acceptRequests();
+    /** Append a burst to its ID's queue (AR, or the AW of a W flit). */
+    Txn &accept(bool is_write, u32 id, u64 tag, Addr addr, u32 beats);
     bool scheduleColumn();
     bool scheduleRowCommands();
     ServiceResult sendReadData();
     ServiceResult sendWriteResponses();
+    /** Retire the head of @p it's queue after its last R beat or its B
+     *  response; the next transaction on the ID pays the recycle. */
+    void retire(bool is_write, std::map<u32, IdQueue>::iterator it);
 
     /** Recompute _writeDrainMode from candidate existence per side. */
     void updateDrainMode();
@@ -177,11 +206,11 @@ class DramController : public Module
      *  materializing the candidate list. */
     void scanCandidates();
 
-    /** Classify the cycle and update the per-AXI-ID wait counters. */
+    /** Classify the cycle for the stall account. */
     void accountCycle(bool did, ServiceResult rd, ServiceResult wr,
                       bool in_refresh);
+    /** Charge each waiting ID's head to its queueWait or bankWait. */
     void trackIdWaits(bool col_issued);
-    StatScalar &idWaitScalar(bool is_write, u32 id, const char *kind);
 
     Config _cfg;
     FunctionalMemory &_mem;
@@ -191,21 +220,11 @@ class DramController : public Module
     TimedQueue<ReadBeat> _rOut;
     TimedQueue<WriteResponse> _bOut;
 
-    /** In-flight transactions keyed by tag. Hash maps: the hot path
-     *  only ever looks tags up (several times per in-flight cycle);
-     *  ordered iteration is never needed — per-ID order lives in
-     *  _readOrder/_writeOrder, and dumpInFlight sorts for display. */
-    std::unordered_map<u64, ReadTxn> _reads;
-    std::unordered_map<u64, WriteTxn> _writes;
-    std::map<u32, std::deque<u64>> _readOrder;  ///< per-ID tag FIFOs
-    std::map<u32, std::deque<u64>> _writeOrder;
-    std::map<u32, Cycle> _readIdReadyAt;  ///< same-ID recycle gates
-    std::map<u32, Cycle> _writeIdReadyAt;
-    u64 _fillingWrite = 0;  ///< tag of write currently receiving W beats
-    bool _hasFilling = false;
+    Side _side[2];            ///< [0] reads, [1] writes
+    Txn *_filling = nullptr; ///< write receiving W beats, if any
     /** Buffered-but-unissued write beats across all transactions,
-     *  maintained incrementally (== sum of beatsReceived-beatsIssued)
-     *  so the per-cycle drain-watermark check is O(1). */
+     *  maintained incrementally (== sum of beatsHere - beatsIssued over
+     *  writes) so the per-cycle drain-watermark check is O(1). */
     u64 _pendingWriteBeats = 0;
 
     std::vector<BankState> _banks;
@@ -218,10 +237,8 @@ class DramController : public Module
     std::vector<u8> _bankValid;
     std::vector<u8> _bankHasHit;
     std::vector<const Candidate *> _rowOrdered;
-    Candidate _bestRead;  ///< oldest ready row-hit read, if any
-    Candidate _bestWrite; ///< oldest ready row-hit write, if any
-    bool _hasBestRead = false;
-    bool _hasBestWrite = false;
+    Candidate _best[2]; ///< oldest ready row hit per direction, if any
+    bool _hasBest[2] = {false, false};
     std::deque<Cycle> _recentActs; ///< for tFAW
     Cycle _nextActAt = 0;          ///< for tRRD
     Cycle _lastColAt = 0;
@@ -244,15 +261,10 @@ class DramController : public Module
     StatScalar *_statColWrites;
     StatScalar *_statTurnarounds;
     StatScalar *_statRefreshes;
-    StatHistogram *_readLatency;  ///< AR accept -> last R beat
-    StatHistogram *_writeLatency; ///< AW accept -> B response
+    /** AR accept -> last R beat; AW accept -> B response. */
+    StatHistogram *_latency[2];
 
     StallAccount _stall;
-    /** Per-AXI-ID stall split, keyed by (isWrite, id): cycles the ID's
-     *  head transaction waited on the same-ID reorder slot (queueWait)
-     *  vs. on bank timing / bus arbitration (bankWait). */
-    std::map<std::pair<bool, u32>, std::pair<StatScalar *, StatScalar *>>
-        _idWaits;
 };
 
 } // namespace beethoven

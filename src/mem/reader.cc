@@ -136,7 +136,7 @@ Reader::issueRequests()
                                   : 0);
     req.addr = beat_addr;
     req.beats = beats;
-    req.tag = nextGlobalTag();
+    req.tag = sim().nextTag();
     _arOut->push(req);
 
     Txn txn;

@@ -182,7 +182,7 @@ Writer::emitFlits()
                                            : 0);
         _open.header.addr = beat_addr;
         _open.header.beats = beats;
-        _open.header.tag = nextGlobalTag();
+        _open.header.tag = sim().nextTag();
         _open.beats.assign(beats, WriteBeat{});
         for (u32 b = 0; b < beats; ++b) {
             WriteBeat &beat = _open.beats[b];

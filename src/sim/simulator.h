@@ -128,6 +128,14 @@ class Simulator
     Cycle cycle() const { return _cycle; }
 
     /**
+     * Next transaction tag of this run, numbered from 1. Tags are a
+     * modeling convenience that lets monitors and timelines associate
+     * request and response beats; they are not part of the AXI protocol
+     * and carry no hardware cost.
+     */
+    u64 nextTag() { return _nextTag++; }
+
+    /**
      * Select the stepping kernel (Event by default). Selecting Event
      * wakes every module (conservative: the first cycles re-establish
      * quiescence). Safe to call between steps only.
@@ -336,6 +344,7 @@ class Simulator
     void sampleWindow();
 
     Cycle _cycle = 0;
+    u64 _nextTag = 1;
     SimKernel _kernel = SimKernel::Event;
     std::vector<Module *> _modules;
     WakeWheel _wheel BTH_GUARDED_BY(gSimThreadRole);

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <numeric>
+#include <sstream>
+
 #include "base/rng.h"
 #include "dram/controller.h"
 
@@ -68,7 +73,7 @@ TEST_P(DramSweep, RandomTrafficIntegrityAndLegality)
             for (auto &b : data)
                 b = static_cast<u8>(rng.next());
             shadow.write(addr, data.size(), data.data());
-            const u64 tag = nextGlobalTag();
+            const u64 tag = sim.nextTag();
             for (u32 b = 0; b < beats; ++b) {
                 WriteFlit flit;
                 if (b == 0) {
@@ -90,7 +95,7 @@ TEST_P(DramSweep, RandomTrafficIntegrityAndLegality)
             }
             ctrl.bPort().pop();
         } else {
-            ReadRequest req{id, addr, beats, nextGlobalTag()};
+            ReadRequest req{id, addr, beats, sim.nextTag()};
             while (!ctrl.arPort().canPush())
                 sim.step();
             ctrl.arPort().push(req);
@@ -114,6 +119,167 @@ TEST_P(DramSweep, RandomTrafficIntegrityAndLegality)
     }
     EXPECT_EQ(checkAxiProtocol(ctrl.timeline().events()), "")
         << GetParam().name;
+}
+
+/** 64-bit FNV-1a of @p s. */
+u64
+fnv1a(const std::string &s)
+{
+    u64 h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** What one config does under the concurrent traffic below. */
+struct ConcurrentPin
+{
+    Cycle cycles;  ///< cycle at which the last response came back
+    u64 statsFnv;  ///< fnv1a of the stats tree's JSON at that cycle
+};
+
+// One burst waits for the last in RandomTrafficIntegrityAndLegality, so
+// several knobs (window, watermarks, recycle, outstanding limits) never
+// act there. Here every config sees the same overlapping multi-ID
+// traffic, and its final cycle and stats digest are pinned, so any
+// change to what the controller does under load shows up.
+const std::map<std::string, ConcurrentPin> kConcurrentPins = {
+    {"default", {14939, 0xf61ea4fc587e3784ULL}},
+    {"lpddr", {19872, 0x5d6280dfc1713ed0ULL}},
+    {"tinyWindow", {29739, 0xe270df8fe635f233ULL}},
+    {"hugeWindow", {15795, 0xcc3e5ae706c8f2fdULL}},
+    {"eagerWrites", {14913, 0x5e4b1cbf343bfbd3ULL}},
+    {"lazyWrites", {15093, 0x106f95c7ec0c2b52ULL}},
+    {"noRecycle", {14941, 0xbb384d566b4acad2ULL}},
+    {"frequentRefresh", {19535, 0xb5a25bde533b2e1fULL}},
+    {"smallGeometry", {19073, 0xd889e2d5300c5bd7ULL}},
+    {"fewOutstanding", {17469, 0x6b35628fa9d3d923ULL}},
+};
+
+TEST_P(DramSweep, ConcurrentTrafficIntegrityLegalityAndPins)
+{
+    Simulator sim;
+    FunctionalMemory mem;
+    DramController ctrl(sim, "ddr", GetParam().cfg, mem);
+    ctrl.timeline().setEnabled(true);
+    const unsigned bus = ctrl.config().axi.dataBytes;
+    constexpr unsigned kIds = 4, kMaxOutstanding = 16, kTxns = 200;
+    constexpr u64 kSlotBeats = 64;
+    const Addr slot = kSlotBeats * bus; // room for the longest burst
+    const Addr write_base = 256 * slot; // reads stay below it
+
+    Rng rng(0xC0C0);
+    // Reads see preloaded bytes and every write gets its own slot, so
+    // no read races a write and every byte has one expected value.
+    std::vector<u8> init(write_base);
+    for (auto &b : init)
+        b = static_cast<u8>(rng.next());
+    mem.write(0, init.size(), init.data());
+    FunctionalMemory shadow;
+    std::vector<u64> write_slots(kTxns);
+    std::iota(write_slots.begin(), write_slots.end(), 0);
+    for (u64 i = kTxns - 1; i > 0; --i)
+        std::swap(write_slots[i], write_slots[rng.nextBounded(i + 1)]);
+
+    // A 1-64 beat burst at a beat-aligned offset inside a slot.
+    auto burst = [&](Addr slot_base) {
+        const u32 beats = 1 + static_cast<u32>(rng.nextBounded(64));
+        const Addr offset = rng.nextBounded(kSlotBeats - beats + 1) * bus;
+        return std::make_pair(slot_base + offset, beats);
+    };
+
+    struct PendingRead
+    {
+        Addr addr;
+        u32 beats;
+        std::vector<u8> data;
+    };
+    std::map<u64, PendingRead> reads; // by tag
+    std::deque<WriteFlit> w_flits;    // rest of the burst being sent
+    unsigned reads_issued = 0, reads_done = 0;
+    unsigned writes_issued = 0, writes_done = 0;
+    while (reads_done < kTxns || writes_done < kTxns) {
+        if (reads_issued < kTxns &&
+            reads_issued - reads_done < kMaxOutstanding &&
+            ctrl.arPort().canPush()) {
+            const auto [addr, beats] = burst(rng.nextBounded(256) * slot);
+            const ReadRequest req{static_cast<u32>(rng.nextBounded(kIds)),
+                                  addr, beats, sim.nextTag()};
+            reads[req.tag] = {addr, beats, {}};
+            ctrl.arPort().push(req);
+            ++reads_issued;
+        }
+        if (w_flits.empty() && writes_issued < kTxns &&
+            writes_issued - writes_done < kMaxOutstanding) {
+            const auto [addr, beats] =
+                burst(write_base + write_slots[writes_issued] * slot);
+            const WriteRequest header{
+                static_cast<u32>(rng.nextBounded(kIds)), addr, beats,
+                sim.nextTag()};
+            for (u32 b = 0; b < beats; ++b) {
+                WriteFlit flit;
+                flit.hasHeader = b == 0;
+                flit.header = header;
+                std::vector<u8> data(bus);
+                for (auto &byte : data)
+                    byte = static_cast<u8>(rng.next());
+                flit.beat.data.assign(data.begin(), data.end());
+                // A quarter of the first beats are partial.
+                if (b == 0 && rng.nextBounded(4) == 0) {
+                    flit.beat.strb.resize(bus);
+                    for (unsigned i = 0; i < bus; ++i)
+                        flit.beat.strb[i] = rng.nextBounded(2) == 0;
+                }
+                flit.beat.last = b + 1 == beats;
+                shadow.writeMasked(addr + Addr(b) * bus, data,
+                                   flit.beat.strb);
+                w_flits.push_back(std::move(flit));
+            }
+            ++writes_issued;
+        }
+        if (!w_flits.empty() && ctrl.wPort().canPush()) {
+            ctrl.wPort().push(std::move(w_flits.front()));
+            w_flits.pop_front();
+        }
+        if (ctrl.rPort().canPop()) {
+            const ReadBeat beat = ctrl.rPort().pop();
+            PendingRead &r = reads.at(beat.tag);
+            r.data.insert(r.data.end(), beat.data.begin(), beat.data.end());
+            if (beat.last) {
+                ASSERT_EQ(r.data.size(), u64(r.beats) * bus);
+                ASSERT_TRUE(std::equal(r.data.begin(), r.data.end(),
+                                       init.begin() + r.addr))
+                    << GetParam().name << " read at 0x" << std::hex
+                    << r.addr;
+                reads.erase(beat.tag);
+                ++reads_done;
+            }
+        }
+        if (ctrl.bPort().canPop()) {
+            ctrl.bPort().pop();
+            ++writes_done;
+        }
+        sim.step();
+        ASSERT_LT(sim.cycle(), 1000000u) << GetParam().name << " hung";
+    }
+
+    std::vector<u8> written(kTxns * slot), expected(kTxns * slot);
+    mem.read(write_base, written.size(), written.data());
+    shadow.read(write_base, expected.size(), expected.data());
+    EXPECT_TRUE(written == expected) << GetParam().name;
+    EXPECT_EQ(checkAxiProtocol(ctrl.timeline().events()), "")
+        << GetParam().name;
+
+    sim.publishStallStats();
+    std::ostringstream json;
+    sim.stats().dumpJson(json);
+    const ConcurrentPin &pin = kConcurrentPins.at(GetParam().name);
+    EXPECT_EQ(sim.cycle(), pin.cycles) << GetParam().name;
+    EXPECT_EQ(fnv1a(json.str()), pin.statsFnv)
+        << GetParam().name << " stats digest 0x" << std::hex
+        << fnv1a(json.str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -187,7 +353,7 @@ TEST(DramRefresh, ThroughputTaxMatchesDutyCycle)
                 req.id = issued % 8;
                 req.addr = Addr(issued) * 1024;
                 req.beats = 16;
-                req.tag = nextGlobalTag();
+                req.tag = sim.nextTag();
                 ctrl.arPort().push(req);
                 ++issued;
             }

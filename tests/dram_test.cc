@@ -68,7 +68,7 @@ struct CtrlHarness
     std::pair<Cycle, std::vector<u8>>
     blockingRead(u32 id, Addr addr, u32 beats)
     {
-        ReadRequest req{id, addr, beats, nextGlobalTag()};
+        ReadRequest req{id, addr, beats, sim.nextTag()};
         while (!ctrl.arPort().canPush())
             sim.step();
         ctrl.arPort().push(req);
@@ -99,7 +99,7 @@ struct CtrlHarness
     {
         const unsigned bus = ctrl.config().axi.dataBytes;
         const u32 beats = static_cast<u32>(bytes.size() / bus);
-        const u64 tag = nextGlobalTag();
+        const u64 tag = sim.nextTag();
         for (u32 b = 0; b < beats; ++b) {
             WriteFlit flit;
             if (b == 0) {
@@ -190,7 +190,7 @@ TEST(DramController, SameIdReadsReturnInRequestOrder)
         req.id = 3;
         req.addr = (rng.nextBounded(64)) * 1_MiB;
         req.beats = 4;
-        req.tag = nextGlobalTag();
+        req.tag = h.sim.nextTag();
         while (!h.ctrl.arPort().canPush())
             h.sim.step();
         h.ctrl.arPort().push(req);
@@ -251,7 +251,7 @@ TEST(DramController, DistinctIdsOverlapSameIdsSerialize)
                 req.id = distinct ? (issued % 4) : 0;
                 req.addr = Addr(issued) * 1024;
                 req.beats = beats;
-                req.tag = nextGlobalTag();
+                req.tag = h.sim.nextTag();
                 h.ctrl.arPort().push(req);
                 outstanding[req.tag] = 0;
                 ++issued;
@@ -277,9 +277,66 @@ TEST(DramController, DistinctIdsOverlapSameIdsSerialize)
 TEST(DramController, RejectsOversizedBursts)
 {
     CtrlHarness h;
-    ReadRequest req{0, 0, 65, nextGlobalTag()}; // max is 64
+    ReadRequest req{0, 0, 65, h.sim.nextTag()}; // max is 64
     h.ctrl.arPort().push(req);
     EXPECT_DEATH({ h.sim.run(4); }, "illegal read burst");
+}
+
+TEST(DramController, RejectsOversizedWriteBursts)
+{
+    CtrlHarness h;
+    WriteFlit flit;
+    flit.hasHeader = true;
+    flit.header = {0, 0, 65, h.sim.nextTag()}; // max is 64
+    flit.beat.data.assign(64, 0);
+    h.ctrl.wPort().push(std::move(flit));
+    EXPECT_DEATH({ h.sim.run(4); }, "illegal write burst");
+}
+
+TEST(DramController, RejectsWriteBurstOverrun)
+{
+    // The second beat of a 2-beat burst lacks `last`, so a third beat
+    // follows: it must be refused, not stored past the burst's end.
+    CtrlHarness h;
+    const u64 tag = h.sim.nextTag();
+    for (u32 b = 0; b < 3; ++b) {
+        WriteFlit flit;
+        flit.hasHeader = b == 0;
+        flit.header = {0, 0, 2, tag};
+        flit.beat.data.assign(64, static_cast<u8>(b));
+        h.ctrl.wPort().push(std::move(flit));
+    }
+    EXPECT_DEATH({ h.sim.run(8); }, "overruns its 2-beat write burst");
+}
+
+TEST(DramController, SameTagOnTwoIdsCompletesBoth)
+{
+    // Tags are opaque labels: two in-flight reads may share one.
+    CtrlHarness h;
+    std::vector<u8> bytes(512);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<u8>(i * 7 + 1);
+    h.mem.write(0, bytes.size(), bytes.data());
+    h.ctrl.arPort().push(ReadRequest{0, 0, 4, 7});
+    h.ctrl.arPort().push(ReadRequest{1, 256, 4, 7});
+    std::map<u32, std::vector<u8>> got; // by ID
+    unsigned beats = 0, lasts = 0;
+    const Cycle start = h.sim.cycle();
+    while (beats < 8) {
+        if (h.ctrl.rPort().canPop()) {
+            const ReadBeat b = h.ctrl.rPort().pop();
+            EXPECT_EQ(b.tag, 7u);
+            got[b.id].insert(got[b.id].end(), b.data.begin(), b.data.end());
+            ++beats;
+            lasts += b.last ? 1 : 0;
+        } else {
+            h.sim.step();
+            ASSERT_LT(h.sim.cycle() - start, 10000u) << "reads hung";
+        }
+    }
+    EXPECT_EQ(lasts, 2u);
+    EXPECT_EQ(got[0], std::vector<u8>(bytes.begin(), bytes.begin() + 256));
+    EXPECT_EQ(got[1], std::vector<u8>(bytes.begin() + 256, bytes.end()));
 }
 
 } // namespace

@@ -91,6 +91,8 @@ DramController::acceptRequests()
         Txn &txn = accept(/*is_write=*/false, req.id, req.tag, req.addr,
                           req.beats);
         txn.beatsHere = txn.beats;
+        if (txn.live)
+            fillWindow(/*is_write=*/false, txn);
         did = true;
     }
 
@@ -117,6 +119,8 @@ DramController::acceptRequests()
         txn.strb[b] = std::move(f.beat.strb);
     }
     ++_pendingWriteBeats;
+    if (txn.live)
+        fillWindow(/*is_write=*/true, txn);
     if (f.beat.last) {
         beethoven_assert(txn.beatsHere == txn.beats,
                          "write burst ended after %u/%u beats",
@@ -134,8 +138,10 @@ DramController::accept(bool is_write, u32 id, u64 tag, Addr addr, u32 beats)
                      is_write ? "write" : "read", beats);
     const Cycle now = sim().cycle();
     Side &side = _side[is_write];
-    Txn &txn = side.ids[id].txns.emplace_back();
+    std::deque<Txn> &txns = side.ids[id].txns;
+    Txn &txn = txns.emplace_back();
     ++side.count;
+    txn.live = txns.size() == 1; // an idle ID has no gate to wait for
     txn.seq = _seqCounter++;
     txn.tag = tag;
     txn.id = id;
@@ -158,25 +164,30 @@ DramController::accept(bool is_write, u32 id, u64 tag, Addr addr, u32 beats)
 }
 
 void
+DramController::fillWindow(bool is_write, Txn &txn)
+{
+    // The window is the first schedulerWindow arrived beats not yet
+    // issued (the command-queue lookahead of a real controller).
+    while (txn.exposed < _cfg.schedulerWindow &&
+           txn.windowEnd < txn.beatsHere) {
+        const u32 b = txn.windowEnd++;
+        const DramCoord &coord = txn.beat[b].coord;
+        std::vector<ViewEntry> &view = _banks[coord.bank].view[is_write];
+        const ViewEntry e{txn.seq, b, coord.row, &txn};
+        view.insert(std::upper_bound(view.begin(), view.end(), e), e);
+        ++txn.exposed;
+        ++_exposedBeats[is_write];
+    }
+}
+
+void
 DramController::updateDrainMode()
 {
     // Write-drain mode switching (watermark policy): service reads
     // until enough write beats have buffered up (or no reads remain),
     // then drain writes as a batch. This amortizes bus turnarounds the
-    // way real DDR controllers do. Candidate existence per direction
-    // is O(IDs): the head transaction's firstUnissued beat is exposed
-    // iff the ID's reorder slot is open (and the window is nonzero).
-    const Cycle now = sim().cycle();
-    bool exists[2] = {false, false};
-    for (const bool w : {false, true}) {
-        for (const auto &[id, q] : _side[w].ids) {
-            if (_cfg.schedulerWindow != 0 && now >= q.readyAt &&
-                q.txns.front().waiting()) {
-                exists[w] = true;
-                break;
-            }
-        }
-    }
+    // way real DDR controllers do.
+    const bool exists[2] = {_exposedBeats[0] != 0, _exposedBeats[1] != 0};
     if (_writeDrainMode) {
         if (!exists[1])
             _writeDrainMode = false;
@@ -191,75 +202,57 @@ DramController::updateDrainMode()
 void
 DramController::scanCandidates()
 {
-    // AXI same-ID ordering: only the oldest transaction on each ID may
-    // occupy the scheduler. This is the serialization that penalizes
-    // single-ID streams (Fig. 5's HLS kernel). Within that head
-    // transaction, up to schedulerWindow unissued beats are visible at
-    // once (the command-queue lookahead of a real controller), which
-    // lets the scheduler batch row activations and bus directions.
+    // AXI same-ID ordering: only the oldest transaction on each ID is
+    // live, so only its beats are in the view. This is the
+    // serialization that penalizes single-ID streams (Fig. 5's HLS
+    // kernel).
     //
-    // Everything the column and row schedulers need is computed in
-    // this one pass. Its order (reads by ascending ID, beats in order,
-    // then writes) fixes every first-wins tie-break below.
+    // Each bank's lists are sorted by (seq, beat index), so every pick
+    // below is the first entry that qualifies: the oldest beat per bank
+    // (drain direction preferred) steers row commands, and the oldest
+    // ready row hit per direction feeds the column pick (FR-FCFS).
     const Cycle now = sim().cycle();
+    const bool drain = _writeDrainMode;
+    // Bus turnaround: switching direction costs tSwitch idle cycles.
+    const bool switching =
+        _anyColIssued && now < _lastColAt + _cfg.timing.tSwitch;
     _hasBest[0] = _hasBest[1] = false;
-    _bankValid.assign(_banks.size(), 0);
-    _bankHasHit.assign(_banks.size(), 0);
-    if (_oldestPerBank.size() != _banks.size())
+    if (_oldestPerBank.size() != _banks.size()) {
+        // Sized on first use: sized in the constructor, they slowed
+        // perfbench memcpy_stream's setup_s by about 7% (heap layout).
         _oldestPerBank.resize(_banks.size());
-
-    auto consider = [&](const Candidate &c) {
-        // Oldest candidate per bank (drain direction preferred, then
-        // age) — steers row commands.
-        Candidate &slot = _oldestPerBank[c.coord.bank];
-        if (_bankValid[c.coord.bank] == 0) {
-            slot = c;
-            _bankValid[c.coord.bank] = 1;
-        } else {
-            const bool c_on = c.isWrite == _writeDrainMode;
-            const bool cur_on = slot.isWrite == _writeDrainMode;
-            if ((c_on && !cur_on) || (c_on == cur_on && c.seq < slot.seq))
-                slot = c;
-        }
-        const BankState &bank = _banks[c.coord.bank];
-        const bool row_hit = bank.open && bank.row == c.coord.row;
-        // Banks with a pending row hit in the drain direction must not
-        // be precharged out from under it.
-        if (row_hit && c.isWrite == _writeDrainMode)
-            _bankHasHit[c.coord.bank] = 1;
-        // Ready row hits feed the column pick (FR-FCFS, oldest first).
-        if (!row_hit || now < bank.colReadyAt)
-            return;
-        // Bus turnaround: switching direction costs tSwitch idle
-        // cycles.
-        if (_anyColIssued && c.isWrite != _lastColWasWrite &&
-            now < _lastColAt + _cfg.timing.tSwitch) {
-            return;
-        }
-        if (!_hasBest[c.isWrite] || c.seq < _best[c.isWrite].seq) {
-            _best[c.isWrite] = c;
-            _hasBest[c.isWrite] = true;
-        }
-    };
-
-    for (const bool w : {false, true}) {
-        for (auto &[id, q] : _side[w].ids) {
-            if (now < q.readyAt)
-                continue; // reorder slot for this ID is still recycling
-            Txn &txn = q.txns.front();
-            unsigned exposed = 0;
-            Candidate c;
-            c.isWrite = w;
-            c.txn = &txn;
-            c.seq = txn.seq;
-            for (u32 b = txn.firstUnissued;
-                 b < txn.beatsHere && exposed < _cfg.schedulerWindow; ++b) {
-                if (txn.beat[b].issued)
-                    continue;
-                c.beatIdx = b;
-                c.coord = txn.beat[b].coord;
-                consider(c);
-                ++exposed;
+        _bankValid.resize(_banks.size());
+        _bankHasHit.resize(_banks.size());
+    }
+    for (unsigned b = 0; b < _banks.size(); ++b) {
+        const BankState &bank = _banks[b];
+        _bankHasHit[b] = 0;
+        _bankValid[b] = !bank.view[0].empty() || !bank.view[1].empty();
+        if (_bankValid[b] == 0)
+            continue;
+        const bool dir = bank.view[drain].empty() ? !drain : drain;
+        _oldestPerBank[b] = {bank.view[dir].front(), b, dir};
+        if (!bank.open)
+            continue;
+        for (const bool w : {false, true}) {
+            const bool can_issue = now >= bank.colReadyAt &&
+                                   !(switching && w != _lastColWasWrite);
+            if (w != drain && !can_issue)
+                continue;
+            const std::vector<ViewEntry> &view = bank.view[w];
+            const auto hit =
+                std::find_if(view.begin(), view.end(), [&](const auto &e) {
+                    return e.row == bank.row;
+                });
+            if (hit == view.end())
+                continue;
+            // Banks with a pending row hit in the drain direction must
+            // not be precharged out from under it.
+            if (w == drain)
+                _bankHasHit[b] = 1;
+            if (can_issue && (!_hasBest[w] || *hit < _best[w].beat)) {
+                _best[w] = {*hit, b, w};
+                _hasBest[w] = true;
             }
         }
     }
@@ -269,12 +262,14 @@ bool
 DramController::scheduleColumn()
 {
     const Cycle now = sim().cycle();
-    if (_anyColIssued && now <= _lastColAt) {
-        // Data bus already used this cycle; the row scheduler still
-        // needs this cycle's candidate view (drain mode unchanged).
-        scanCandidates();
-        return false;
+    // Open the recycle gates that are due. Refresh cycles never read
+    // the view, so a gate falling due in one opens here, next time.
+    auto gate = _gates.begin();
+    for (; gate != _gates.end() && gate->at <= now; ++gate) {
+        gate->txn->live = true;
+        fillWindow(gate->isWrite, *gate->txn);
     }
+    _gates.erase(_gates.begin(), gate);
 
     updateDrainMode();
     scanCandidates();
@@ -287,7 +282,7 @@ DramController::scheduleColumn()
         return false;
     const Candidate chosen = _best[_hasBest[drain] ? drain : !drain];
 
-    BankState &bank = _banks[chosen.coord.bank];
+    BankState &bank = _banks[chosen.bank];
     bank.colReadyAt = now + 1;
     bank.preReadyAt = std::max(bank.preReadyAt, now + 2);
     if (_anyColIssued && chosen.isWrite != _lastColWasWrite)
@@ -298,15 +293,15 @@ DramController::scheduleColumn()
     ++*_statRowHits;
     ++_beatsServed;
 
-    Txn &txn = *chosen.txn;
-    Beat &beat = txn.beat[chosen.beatIdx];
-    const Addr addr =
-        txn.addr + static_cast<Addr>(chosen.beatIdx) * _cfg.axi.dataBytes;
+    Txn &txn = *chosen.beat.txn;
+    const u32 b = chosen.beat.beatIdx;
+    Beat &beat = txn.beat[b];
+    const Addr addr = txn.addr + static_cast<Addr>(b) * _cfg.axi.dataBytes;
     if (chosen.isWrite) {
-        if (txn.strb.empty() || txn.strb[chosen.beatIdx].empty())
+        if (txn.strb.empty() || txn.strb[b].empty())
             _mem.write(addr, beat.data.size(), beat.data.data());
         else
-            _mem.writeMasked(addr, beat.data, txn.strb[chosen.beatIdx]);
+            _mem.writeMasked(addr, beat.data, txn.strb[b]);
         --_pendingWriteBeats;
         ++*_statColWrites;
     } else {
@@ -318,10 +313,11 @@ DramController::scheduleColumn()
     _lastColId = txn.id;
     beat.issued = true;
     ++txn.beatsIssued;
-    while (txn.firstUnissued < txn.beats &&
-           txn.beat[txn.firstUnissued].issued) {
-        ++txn.firstUnissued;
-    }
+    std::vector<ViewEntry> &view = bank.view[chosen.isWrite];
+    view.erase(std::lower_bound(view.begin(), view.end(), chosen.beat));
+    --txn.exposed;
+    --_exposedBeats[chosen.isWrite];
+    fillWindow(chosen.isWrite, txn);
     return true;
 }
 
@@ -342,57 +338,50 @@ DramController::scheduleRowCommands()
     // flags are unaffected by it.)
     //
     // One row command (ACT or PRE) per cycle: prepare banks for the
-    // current drain direction first, oldest request first.
-    std::vector<const Candidate *> &ordered = _rowOrdered;
-    ordered.clear();
-    for (std::size_t b = 0; b < _banks.size(); ++b) {
-        if (_bankValid[b] != 0)
-            ordered.push_back(&_oldestPerBank[b]);
+    // current drain direction first, oldest request first, and on a
+    // tie (one burst steering several banks) the lowest bank first.
+    while (!_recentActs.empty() &&
+           _recentActs.front() + _cfg.timing.tFAW <= now) {
+        _recentActs.pop_front();
     }
-    const bool drain_writes = _writeDrainMode;
-    std::sort(ordered.begin(), ordered.end(),
-              [drain_writes](const Candidate *a, const Candidate *b) {
-                  const bool a_on = a->isWrite == drain_writes;
-                  const bool b_on = b->isWrite == drain_writes;
-                  if (a_on != b_on)
-                      return a_on;
-                  return a->seq < b->seq;
-              });
-
-    for (const Candidate *c : ordered) {
-        BankState &bank = _banks[c->coord.bank];
-        if (bank.open && bank.row == c->coord.row)
-            continue; // already a row hit; nothing to do
-        if (bank.open) {
-            if (_bankHasHit[c->coord.bank] != 0)
-                continue; // let the open row drain first (see above)
-            if (now >= bank.preReadyAt) {
-                bank.open = false;
-                bank.actReadyAt = std::max(bank.actReadyAt,
-                                           now + _cfg.timing.tRP);
-                ++*_statRowMisses;
-                return true;
-            }
+    // Activation constraints shared by every bank: tRRD and tFAW.
+    const bool can_act = now >= _nextActAt && _recentActs.size() < 4;
+    const bool drain = _writeDrainMode;
+    const Candidate *pick = nullptr;
+    for (unsigned b = 0; b < _banks.size(); ++b) {
+        if (_bankValid[b] == 0)
             continue;
+        const Candidate &c = _oldestPerBank[b];
+        if (pick != nullptr &&
+            ((c.isWrite == drain) == (pick->isWrite == drain)
+                 ? c.beat.seq >= pick->beat.seq
+                 : pick->isWrite == drain)) {
+            continue; // ordered after the current pick
         }
-        // Activation constraints: per-bank tRP done, global tRRD, tFAW.
-        if (now < bank.actReadyAt || now < _nextActAt)
-            continue;
-        while (!_recentActs.empty() &&
-               _recentActs.front() + _cfg.timing.tFAW <= now) {
-            _recentActs.pop_front();
-        }
-        if (_recentActs.size() >= 4)
-            continue;
-        bank.open = true;
-        bank.row = c->coord.row;
-        bank.colReadyAt = now + _cfg.timing.tRCD;
-        bank.preReadyAt = now + _cfg.timing.tRAS;
-        _nextActAt = now + _cfg.timing.tRRD;
-        _recentActs.push_back(now);
+        const BankState &bank = _banks[b];
+        const bool ready =
+            bank.open ? bank.row != c.beat.row && _bankHasHit[b] == 0 &&
+                            now >= bank.preReadyAt
+                      : now >= bank.actReadyAt && can_act;
+        if (ready)
+            pick = &c;
+    }
+    if (pick == nullptr)
+        return false;
+    BankState &bank = _banks[pick->bank];
+    if (bank.open) {
+        bank.open = false;
+        bank.actReadyAt = std::max(bank.actReadyAt, now + _cfg.timing.tRP);
+        ++*_statRowMisses;
         return true;
     }
-    return false;
+    bank.open = true;
+    bank.row = pick->beat.row;
+    bank.colReadyAt = now + _cfg.timing.tRCD;
+    bank.preReadyAt = now + _cfg.timing.tRAS;
+    _nextActAt = now + _cfg.timing.tRRD;
+    _recentActs.push_back(now);
+    return true;
 }
 
 DramController::ServiceResult
@@ -490,10 +479,12 @@ DramController::retire(bool is_write, std::map<u32, IdQueue>::iterator it)
     // same-ID ordering dependence and pays the reorder-slot recycle; a
     // fresh request arriving later starts with a clean slot (the gate
     // has passed by the time the queue empties, so its entry can go).
-    if (!q.txns.empty())
+    if (!q.txns.empty()) {
         q.readyAt = now + _cfg.sameIdRecycleCycles;
-    else
+        _gates.push_back({q.readyAt, is_write, &q.txns.front()});
+    } else {
         _side[is_write].ids.erase(it);
+    }
 }
 
 void

@@ -16,9 +16,11 @@
  *    (Beethoven's transaction-level parallelism).
  *
  * Reads and writes share one transaction model: each direction keeps a
- * queue of bursts per active AXI ID, oldest first, and every scheduler
- * pass walks reads by ascending ID and then writes, so all first-wins
- * tie-breaks follow that order. Tags are opaque labels echoed on R/B.
+ * queue of bursts per active AXI ID, oldest first. The scheduler's view
+ * (the beats it may issue) is kept between cycles, per bank and
+ * direction in (seq, beat) order, and changed only by the events that
+ * change it, so every pick is a minimum under a total order. Tags are
+ * opaque labels echoed on R/B.
  */
 
 #ifndef BEETHOVEN_DRAM_CONTROLLER_H
@@ -127,15 +129,19 @@ class DramController : public Module
          *  beats received so far of a write. */
         u32 beatsHere = 0;
         u32 beatsIssued = 0; ///< count of issued column commands
-        u32 firstUnissued = 0;
         u32 beatsSent = 0; ///< R beats returned (reads only)
+        /** In the scheduler's view: heads its ID's queue and the ID's
+         *  recycle gate has opened. */
+        bool live = false;
+        u32 exposed = 0;   ///< beats in the view (<= schedulerWindow)
+        u32 windowEnd = 0; ///< every beat below it is in the view or issued
         std::vector<Beat> beat;
         /** Per-beat write strobes, allocated when the first partial
          *  beat arrives; an empty entry enables every byte. */
         std::vector<std::vector<bool>> strb;
 
         /** An arrived beat still awaits its column command. */
-        bool waiting() const { return firstUnissued < beatsHere; }
+        bool waiting() const { return beatsIssued < beatsHere; }
     };
 
     /** The transactions of one AXI ID, oldest first. Only the head may
@@ -160,6 +166,22 @@ class DramController : public Module
         std::size_t count = 0; ///< transactions across all IDs
     };
 
+    /** A beat in the scheduler's view: a live burst's arrived beat
+     *  that awaits its column command. */
+    struct ViewEntry
+    {
+        u64 seq;     ///< the burst's FCFS age
+        u32 beatIdx;
+        u64 row;
+        Txn *txn;
+
+        bool
+        operator<(const ViewEntry &o) const
+        {
+            return seq < o.seq || (seq == o.seq && beatIdx < o.beatIdx);
+        }
+    };
+
     struct BankState
     {
         bool open = false;
@@ -167,16 +189,25 @@ class DramController : public Module
         Cycle actReadyAt = 0;
         Cycle colReadyAt = 0;
         Cycle preReadyAt = 0;
+        /** The view's beats on this bank, reads ([0]) and writes ([1]),
+         *  each sorted by (seq, beat index). */
+        std::vector<ViewEntry> view[2];
     };
 
-    /** A schedulable (head-of-ID) beat awaiting a column command. */
+    /** A view entry with the bank and direction it was read from. */
     struct Candidate
     {
+        ViewEntry beat;
+        unsigned bank = 0;
         bool isWrite = false;
-        Txn *txn = nullptr;
-        u64 seq = 0;
-        u32 beatIdx = 0;
-        DramCoord coord;
+    };
+
+    /** A burst whose recycle gate opens at @c at. */
+    struct Gate
+    {
+        Cycle at;
+        bool isWrite;
+        Txn *txn;
     };
 
     /** Outcome of an output-side service attempt. */
@@ -188,8 +219,12 @@ class DramController : public Module
     };
 
     bool acceptRequests();
-    /** Append a burst to its ID's queue (AR, or the AW of a W flit). */
+    /** Append a burst to its ID's queue (AR, or the AW of a W flit); a
+     *  burst on an idle ID is live at once. */
     Txn &accept(bool is_write, u32 id, u64 tag, Addr addr, u32 beats);
+    /** Put a live burst's next arrived beats into the view until
+     *  schedulerWindow of them are there. */
+    void fillWindow(bool is_write, Txn &txn);
     bool scheduleColumn();
     bool scheduleRowCommands();
     ServiceResult sendReadData();
@@ -198,12 +233,11 @@ class DramController : public Module
      *  response; the next transaction on the ID pays the recycle. */
     void retire(bool is_write, std::map<u32, IdQueue>::iterator it);
 
-    /** Recompute _writeDrainMode from candidate existence per side. */
+    /** Recompute _writeDrainMode from the view's size per side. */
     void updateDrainMode();
-    /** One pass over the schedulable-beat set computing everything the
-     *  schedulers need (best ready row hit per direction, oldest
-     *  candidate per bank, per-bank row-hit flags) without
-     *  materializing the candidate list. */
+    /** One pass over the banks' views computing everything the
+     *  schedulers need this cycle: best ready row hit per direction,
+     *  oldest beat per bank and per-bank row-hit flags. */
     void scanCandidates();
 
     /** Classify the cycle for the stall account. */
@@ -222,21 +256,21 @@ class DramController : public Module
 
     Side _side[2];            ///< [0] reads, [1] writes
     Txn *_filling = nullptr; ///< write receiving W beats, if any
+    u64 _exposedBeats[2] = {0, 0}; ///< beats in the view per side
+    /** Gated successors, in the order their gates open. */
+    std::vector<Gate> _gates;
     /** Buffered-but-unissued write beats across all transactions,
      *  maintained incrementally (== sum of beatsHere - beatsIssued over
      *  writes) so the per-cycle drain-watermark check is O(1). */
     u64 _pendingWriteBeats = 0;
 
     std::vector<BankState> _banks;
-    /** scanCandidates() products, reused across tick()s so the
-     *  scheduler hot path is allocation-free (this module ticks every
-     *  in-flight cycle and dominates host time on streaming benches).
-     *  _oldestPerBank/_bankHasHit are indexed by bank; _bankValid
-     *  gates stale _oldestPerBank entries. */
+    /** scanCandidates() products, indexed by bank; _bankValid gates
+     *  stale _oldestPerBank entries. The row pass reads them after the
+     *  column issue, so it sees the view as it was before that issue. */
     std::vector<Candidate> _oldestPerBank;
     std::vector<u8> _bankValid;
     std::vector<u8> _bankHasHit;
-    std::vector<const Candidate *> _rowOrdered;
     Candidate _best[2]; ///< oldest ready row hit per direction, if any
     bool _hasBest[2] = {false, false};
     std::deque<Cycle> _recentActs; ///< for tFAW

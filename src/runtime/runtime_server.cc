@@ -59,6 +59,9 @@ RuntimeServer::sendCommand(const CommandSpec &spec, u32 system_id,
                 fatal("timeout polling CMD_READY");
             if (ready)
                 break;
+            // A full response path stops the cores taking commands, so
+            // drain a response before waiting again.
+            pollResponses();
             _soc.sim().run(kPollInterval);
         }
         // Five CMD_BITS writes + CMD_VALID.

@@ -19,6 +19,17 @@ routingKey(u32 system_id, u32 core_id, u32 rd)
     return (u64(system_id) << 16) | (u64(core_id) << 5) | rd;
 }
 
+/** A violation's description, streamed from @p parts. Only failing
+ *  checks build one; legal events never touch a stream. */
+template <typename... Parts>
+std::string
+describe(const Parts &...parts)
+{
+    std::ostringstream err;
+    (err << ... << parts);
+    return err.str();
+}
+
 } // namespace
 
 // --- LiveAxiChecker ---------------------------------------------------
@@ -27,7 +38,6 @@ std::string
 LiveAxiChecker::observe(const AxiEvent &e)
 {
     ++_eventsSeen;
-    std::ostringstream err;
 
     // ID-leak screen: transactions must use IDs the elaborator
     // actually handed out.
@@ -35,17 +45,17 @@ LiveAxiChecker::observe(const AxiEvent &e)
         e.channel == AxiChannel::AR || e.channel == AxiChannel::R;
     const bool is_write = !is_read;
     if (is_read && _readIdBound != 0 && e.id >= _readIdBound) {
-        err << axiChannelName(e.channel) << " uses read id " << e.id
-            << " outside the allocated space [0, " << _readIdBound << ")";
-        return err.str();
+        return describe(axiChannelName(e.channel), " uses read id ", e.id,
+                        " outside the allocated space [0, ", _readIdBound,
+                        ")");
     }
     if (is_write && _writeIdBound != 0 && e.id >= _writeIdBound &&
         e.channel != AxiChannel::W) {
         // W beats are tag-matched, not ID-matched, but AW and B carry
         // real bus IDs.
-        err << axiChannelName(e.channel) << " uses write id " << e.id
-            << " outside the allocated space [0, " << _writeIdBound << ")";
-        return err.str();
+        return describe(axiChannelName(e.channel), " uses write id ", e.id,
+                        " outside the allocated space [0, ", _writeIdBound,
+                        ")");
     }
 
     switch (e.channel) {
@@ -59,22 +69,21 @@ LiveAxiChecker::observe(const AxiEvent &e)
       case AxiChannel::R: {
         auto &q = _reads[e.id];
         if (q.empty()) {
-            err << "R beat for id " << e.id << " with no outstanding read";
-            return err.str();
+            return describe("R beat for id ", e.id,
+                            " with no outstanding read");
         }
         Outstanding &head = q.front();
         if (head.tag != e.tag) {
-            err << "R beat tag " << e.tag << " on id " << e.id
-                << " violates same-ID ordering (expected tag " << head.tag
-                << ")";
-            return err.str();
+            return describe("R beat tag ", e.tag, " on id ", e.id,
+                            " violates same-ID ordering (expected tag ",
+                            head.tag, ")");
         }
         ++head.beatsSeen;
         const bool should_be_last = head.beatsSeen == head.beatsExpected;
         if (e.last != should_be_last) {
-            err << "R last flag mismatch on tag " << e.tag << " (beat "
-                << head.beatsSeen << "/" << head.beatsExpected << ")";
-            return err.str();
+            return describe("R last flag mismatch on tag ", e.tag,
+                            " (beat ", head.beatsSeen, "/",
+                            head.beatsExpected, ")");
         }
         if (e.last)
             q.pop_front();
@@ -87,10 +96,8 @@ LiveAxiChecker::observe(const AxiEvent &e)
                 if (o.tag == e.tag && o.beatsSeen < o.beatsExpected) {
                     ++o.beatsSeen;
                     const bool last = o.beatsSeen == o.beatsExpected;
-                    if (e.last != last) {
-                        err << "W last flag mismatch on tag " << e.tag;
-                        return err.str();
-                    }
+                    if (e.last != last)
+                        return describe("W last flag mismatch on tag ", e.tag);
                     if (last)
                         _writeDataDone[e.tag] = true;
                     found = true;
@@ -101,29 +108,24 @@ LiveAxiChecker::observe(const AxiEvent &e)
                 break;
         }
         if (!found) {
-            err << "W beat with tag " << e.tag
-                << " matches no outstanding write";
-            return err.str();
+            return describe("W beat with tag ", e.tag,
+                            " matches no outstanding write");
         }
         break;
       }
       case AxiChannel::B: {
         auto &q = _writes[e.id];
         if (q.empty()) {
-            err << "B response for id " << e.id
-                << " with no outstanding write";
-            return err.str();
+            return describe("B response for id ", e.id,
+                            " with no outstanding write");
         }
         if (q.front().tag != e.tag) {
-            err << "B response tag " << e.tag << " on id " << e.id
-                << " violates same-ID ordering";
-            return err.str();
+            return describe("B response tag ", e.tag, " on id ", e.id,
+                            " violates same-ID ordering");
         }
         auto it = _writeDataDone.find(e.tag);
-        if (it == _writeDataDone.end() || !it->second) {
-            err << "B response before final W beat on tag " << e.tag;
-            return err.str();
-        }
+        if (it == _writeDataDone.end() || !it->second)
+            return describe("B response before final W beat on tag ", e.tag);
         q.pop_front();
         _writeDataDone.erase(it);
         break;

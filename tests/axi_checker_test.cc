@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the AXI protocol checker itself: it must catch each class
+ * Tests for the AXI protocol checkers themselves: the post-hoc
+ * checkAxiProtocol and the live LiveAxiChecker must catch each class
  * of violation (fabricated illegal streams) and accept legal ones.
  */
 
 #include <gtest/gtest.h>
 
 #include "axi/timeline.h"
+#include "verify/invariants.h"
 
 namespace beethoven
 {
@@ -150,6 +152,91 @@ TEST(AxiTimeline, DisabledRecordsNothing)
     AxiTimeline tl;
     tl.record(ev(0, AxiChannel::AR, 1, 100, 1));
     EXPECT_TRUE(tl.events().empty());
+}
+
+/**
+ * Feed @p events to a fresh checker bounded to 4 read and 4 write IDs.
+ * Every event but the last must be legal; @return the last one's
+ * verdict.
+ */
+std::string
+liveVerdict(const std::vector<AxiEvent> &events)
+{
+    LiveAxiChecker checker;
+    checker.setIdBounds(4, 4);
+    for (std::size_t i = 0; i + 1 < events.size(); ++i) {
+        const std::string msg = checker.observe(events[i]);
+        EXPECT_EQ(msg, "") << "event " << i;
+    }
+    return checker.observe(events.back());
+}
+
+TEST(LiveAxiChecker, AcceptsLegalInterleavedTraffic)
+{
+    LiveAxiChecker checker;
+    checker.setIdBounds(4, 4);
+    const std::vector<AxiEvent> events = {
+        ev(0, AxiChannel::AR, 1, 100, 2),
+        ev(0, AxiChannel::AW, 3, 200, 2),
+        ev(1, AxiChannel::W, 9, 200, 0, false), // W is tag-matched
+        ev(2, AxiChannel::AR, 0, 101, 1),
+        ev(3, AxiChannel::R, 0, 101, 0, true),
+        ev(4, AxiChannel::W, 9, 200, 0, true),
+        ev(5, AxiChannel::R, 1, 100, 0, false),
+        ev(6, AxiChannel::R, 1, 100, 0, true),
+        ev(7, AxiChannel::B, 3, 200),
+    };
+    for (const AxiEvent &e : events)
+        EXPECT_EQ(checker.observe(e), "");
+    EXPECT_TRUE(checker.quiescent());
+    EXPECT_EQ(checker.eventsSeen(), events.size());
+}
+
+TEST(LiveAxiChecker, IdBoundMessages)
+{
+    EXPECT_EQ(liveVerdict({ev(0, AxiChannel::AR, 4, 100, 1)}),
+              "AR uses read id 4 outside the allocated space [0, 4)");
+    EXPECT_EQ(liveVerdict({ev(0, AxiChannel::AW, 5, 200, 1)}),
+              "AW uses write id 5 outside the allocated space [0, 4)");
+}
+
+TEST(LiveAxiChecker, ReadDataMessages)
+{
+    EXPECT_EQ(liveVerdict({ev(0, AxiChannel::R, 1, 100, 0, true)}),
+              "R beat for id 1 with no outstanding read");
+    EXPECT_EQ(liveVerdict({ev(0, AxiChannel::AR, 1, 100, 1),
+                           ev(1, AxiChannel::AR, 1, 101, 1),
+                           ev(5, AxiChannel::R, 1, 101, 0, true)}),
+              "R beat tag 101 on id 1 violates same-ID ordering "
+              "(expected tag 100)");
+    EXPECT_EQ(liveVerdict({ev(0, AxiChannel::AR, 1, 100, 2),
+                           ev(5, AxiChannel::R, 1, 100, 0, true)}),
+              "R last flag mismatch on tag 100 (beat 1/2)");
+}
+
+TEST(LiveAxiChecker, WriteDataMessages)
+{
+    EXPECT_EQ(liveVerdict({ev(0, AxiChannel::AW, 2, 200, 2),
+                           ev(1, AxiChannel::W, 2, 200, 0, true)}),
+              "W last flag mismatch on tag 200");
+    EXPECT_EQ(liveVerdict({ev(0, AxiChannel::W, 2, 300, 0, true)}),
+              "W beat with tag 300 matches no outstanding write");
+}
+
+TEST(LiveAxiChecker, WriteResponseMessages)
+{
+    EXPECT_EQ(liveVerdict({ev(0, AxiChannel::B, 3, 200)}),
+              "B response for id 3 with no outstanding write");
+    EXPECT_EQ(liveVerdict({ev(0, AxiChannel::AW, 2, 200, 1),
+                           ev(0, AxiChannel::AW, 2, 201, 1),
+                           ev(1, AxiChannel::W, 2, 200, 0, true),
+                           ev(2, AxiChannel::W, 2, 201, 0, true),
+                           ev(9, AxiChannel::B, 2, 201)}),
+              "B response tag 201 on id 2 violates same-ID ordering");
+    EXPECT_EQ(liveVerdict({ev(0, AxiChannel::AW, 2, 200, 2),
+                           ev(1, AxiChannel::W, 2, 200, 0, false),
+                           ev(2, AxiChannel::B, 2, 200)}),
+              "B response before final W beat on tag 200");
 }
 
 } // namespace

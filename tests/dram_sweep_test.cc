@@ -133,54 +133,58 @@ fnv1a(const std::string &s)
     return h;
 }
 
-/** What one config does under the concurrent traffic below. */
+/** What one config does under one concurrent traffic shape. */
 struct ConcurrentPin
 {
     Cycle cycles;  ///< cycle at which the last response came back
     u64 statsFnv;  ///< fnv1a of the stats tree's JSON at that cycle
 };
 
-// One burst waits for the last in RandomTrafficIntegrityAndLegality, so
-// several knobs (window, watermarks, recycle, outstanding limits) never
-// act there. Here every config sees the same overlapping multi-ID
-// traffic, and its final cycle and stats digest are pinned, so any
-// change to what the controller does under load shows up.
-const std::map<std::string, ConcurrentPin> kConcurrentPins = {
-    {"default", {14939, 0xf61ea4fc587e3784ULL}},
-    {"lpddr", {19872, 0x5d6280dfc1713ed0ULL}},
-    {"tinyWindow", {29739, 0xe270df8fe635f233ULL}},
-    {"hugeWindow", {15795, 0xcc3e5ae706c8f2fdULL}},
-    {"eagerWrites", {14913, 0x5e4b1cbf343bfbd3ULL}},
-    {"lazyWrites", {15093, 0x106f95c7ec0c2b52ULL}},
-    {"noRecycle", {14941, 0xbb384d566b4acad2ULL}},
-    {"frequentRefresh", {19535, 0xb5a25bde533b2e1fULL}},
-    {"smallGeometry", {19073, 0xd889e2d5300c5bd7ULL}},
-    {"fewOutstanding", {17469, 0x6b35628fa9d3d923ULL}},
+/** Overlapping multi-ID reads and writes, driven from one seed. */
+struct TrafficShape
+{
+    unsigned ids;            ///< AXI IDs drawn per burst
+    unsigned maxOutstanding; ///< per direction
+    unsigned txns;           ///< bursts per direction
+    /** A W beat is offered on one cycle in wEvery (1: every cycle). */
+    unsigned wEvery;
+    /** The R port is left unpopped on one cycle in rSkipEvery (0:
+     *  popped whenever it can be). */
+    unsigned rSkipEvery;
 };
 
-TEST_P(DramSweep, ConcurrentTrafficIntegrityLegalityAndPins)
+/**
+ * Drive @p shape through a controller built from the current param,
+ * check data integrity and AXI legality, and report its fingerprint.
+ * Reads see preloaded bytes and every write gets its own slot, so no
+ * read races a write and every byte has one expected value. Pacing
+ * draws come from their own generator, and a shape that does not pace
+ * makes none, so pacing never shifts the traffic generator's draws.
+ */
+void
+driveConcurrent(const SweepParam &param, const TrafficShape &shape,
+                ConcurrentPin &out)
 {
     Simulator sim;
     FunctionalMemory mem;
-    DramController ctrl(sim, "ddr", GetParam().cfg, mem);
+    DramController ctrl(sim, "ddr", param.cfg, mem);
     ctrl.timeline().setEnabled(true);
     const unsigned bus = ctrl.config().axi.dataBytes;
-    constexpr unsigned kIds = 4, kMaxOutstanding = 16, kTxns = 200;
+    const unsigned n = shape.txns;
     constexpr u64 kSlotBeats = 64;
     const Addr slot = kSlotBeats * bus; // room for the longest burst
     const Addr write_base = 256 * slot; // reads stay below it
 
     Rng rng(0xC0C0);
-    // Reads see preloaded bytes and every write gets its own slot, so
-    // no read races a write and every byte has one expected value.
+    Rng pace(0x9ACE);
     std::vector<u8> init(write_base);
     for (auto &b : init)
         b = static_cast<u8>(rng.next());
     mem.write(0, init.size(), init.data());
     FunctionalMemory shadow;
-    std::vector<u64> write_slots(kTxns);
+    std::vector<u64> write_slots(n);
     std::iota(write_slots.begin(), write_slots.end(), 0);
-    for (u64 i = kTxns - 1; i > 0; --i)
+    for (u64 i = n - 1; i > 0; --i)
         std::swap(write_slots[i], write_slots[rng.nextBounded(i + 1)]);
 
     // A 1-64 beat burst at a beat-aligned offset inside a slot.
@@ -188,6 +192,10 @@ TEST_P(DramSweep, ConcurrentTrafficIntegrityLegalityAndPins)
         const u32 beats = 1 + static_cast<u32>(rng.nextBounded(64));
         const Addr offset = rng.nextBounded(kSlotBeats - beats + 1) * bus;
         return std::make_pair(slot_base + offset, beats);
+    };
+    // True on one cycle in n: never for 0, always for 1 (no draw).
+    auto one_in = [&pace](unsigned n) {
+        return n != 0 && pace.nextBounded(n) == 0;
     };
 
     struct PendingRead
@@ -200,23 +208,24 @@ TEST_P(DramSweep, ConcurrentTrafficIntegrityLegalityAndPins)
     std::deque<WriteFlit> w_flits;    // rest of the burst being sent
     unsigned reads_issued = 0, reads_done = 0;
     unsigned writes_issued = 0, writes_done = 0;
-    while (reads_done < kTxns || writes_done < kTxns) {
-        if (reads_issued < kTxns &&
-            reads_issued - reads_done < kMaxOutstanding &&
+    while (reads_done < n || writes_done < n) {
+        if (reads_issued < n &&
+            reads_issued - reads_done < shape.maxOutstanding &&
             ctrl.arPort().canPush()) {
             const auto [addr, beats] = burst(rng.nextBounded(256) * slot);
-            const ReadRequest req{static_cast<u32>(rng.nextBounded(kIds)),
-                                  addr, beats, sim.nextTag()};
+            const ReadRequest req{
+                static_cast<u32>(rng.nextBounded(shape.ids)), addr, beats,
+                sim.nextTag()};
             reads[req.tag] = {addr, beats, {}};
             ctrl.arPort().push(req);
             ++reads_issued;
         }
-        if (w_flits.empty() && writes_issued < kTxns &&
-            writes_issued - writes_done < kMaxOutstanding) {
+        if (w_flits.empty() && writes_issued < n &&
+            writes_issued - writes_done < shape.maxOutstanding) {
             const auto [addr, beats] =
                 burst(write_base + write_slots[writes_issued] * slot);
             const WriteRequest header{
-                static_cast<u32>(rng.nextBounded(kIds)), addr, beats,
+                static_cast<u32>(rng.nextBounded(shape.ids)), addr, beats,
                 sim.nextTag()};
             for (u32 b = 0; b < beats; ++b) {
                 WriteFlit flit;
@@ -239,11 +248,12 @@ TEST_P(DramSweep, ConcurrentTrafficIntegrityLegalityAndPins)
             }
             ++writes_issued;
         }
-        if (!w_flits.empty() && ctrl.wPort().canPush()) {
+        if (!w_flits.empty() && ctrl.wPort().canPush() &&
+            one_in(shape.wEvery)) {
             ctrl.wPort().push(std::move(w_flits.front()));
             w_flits.pop_front();
         }
-        if (ctrl.rPort().canPop()) {
+        if (ctrl.rPort().canPop() && !one_in(shape.rSkipEvery)) {
             const ReadBeat beat = ctrl.rPort().pop();
             PendingRead &r = reads.at(beat.tag);
             r.data.insert(r.data.end(), beat.data.begin(), beat.data.end());
@@ -251,8 +261,7 @@ TEST_P(DramSweep, ConcurrentTrafficIntegrityLegalityAndPins)
                 ASSERT_EQ(r.data.size(), u64(r.beats) * bus);
                 ASSERT_TRUE(std::equal(r.data.begin(), r.data.end(),
                                        init.begin() + r.addr))
-                    << GetParam().name << " read at 0x" << std::hex
-                    << r.addr;
+                    << param.name << " read at 0x" << std::hex << r.addr;
                 reads.erase(beat.tag);
                 ++reads_done;
             }
@@ -262,24 +271,79 @@ TEST_P(DramSweep, ConcurrentTrafficIntegrityLegalityAndPins)
             ++writes_done;
         }
         sim.step();
-        ASSERT_LT(sim.cycle(), 1000000u) << GetParam().name << " hung";
+        ASSERT_LT(sim.cycle(), 1000000u) << param.name << " hung";
     }
 
-    std::vector<u8> written(kTxns * slot), expected(kTxns * slot);
+    std::vector<u8> written(n * slot), expected(n * slot);
     mem.read(write_base, written.size(), written.data());
     shadow.read(write_base, expected.size(), expected.data());
-    EXPECT_TRUE(written == expected) << GetParam().name;
-    EXPECT_EQ(checkAxiProtocol(ctrl.timeline().events()), "")
-        << GetParam().name;
+    EXPECT_TRUE(written == expected) << param.name;
+    EXPECT_EQ(checkAxiProtocol(ctrl.timeline().events()), "") << param.name;
 
     sim.publishStallStats();
     std::ostringstream json;
     sim.stats().dumpJson(json);
-    const ConcurrentPin &pin = kConcurrentPins.at(GetParam().name);
-    EXPECT_EQ(sim.cycle(), pin.cycles) << GetParam().name;
-    EXPECT_EQ(fnv1a(json.str()), pin.statsFnv)
-        << GetParam().name << " stats digest 0x" << std::hex
-        << fnv1a(json.str());
+    out = {sim.cycle(), fnv1a(json.str())};
+}
+
+void
+expectPin(const SweepParam &param, const ConcurrentPin &got,
+          const std::map<std::string, ConcurrentPin> &pins)
+{
+    const ConcurrentPin &pin = pins.at(param.name);
+    EXPECT_EQ(got.cycles, pin.cycles) << param.name;
+    EXPECT_EQ(got.statsFnv, pin.statsFnv)
+        << param.name << " stats digest 0x" << std::hex << got.statsFnv;
+}
+
+// One burst waits for the last in RandomTrafficIntegrityAndLegality, so
+// several knobs (window, watermarks, recycle, outstanding limits) never
+// act there. Here every config sees the same overlapping multi-ID
+// traffic, and its final cycle and stats digest are pinned, so any
+// change to what the controller does under load shows up.
+const std::map<std::string, ConcurrentPin> kConcurrentPins = {
+    {"default", {14939, 0xf61ea4fc587e3784ULL}},
+    {"lpddr", {19872, 0x5d6280dfc1713ed0ULL}},
+    {"tinyWindow", {29739, 0xe270df8fe635f233ULL}},
+    {"hugeWindow", {15795, 0xcc3e5ae706c8f2fdULL}},
+    {"eagerWrites", {14913, 0x5e4b1cbf343bfbd3ULL}},
+    {"lazyWrites", {15093, 0x106f95c7ec0c2b52ULL}},
+    {"noRecycle", {14941, 0xbb384d566b4acad2ULL}},
+    {"frequentRefresh", {19535, 0xb5a25bde533b2e1fULL}},
+    {"smallGeometry", {19073, 0xd889e2d5300c5bd7ULL}},
+    {"fewOutstanding", {17469, 0x6b35628fa9d3d923ULL}},
+};
+
+TEST_P(DramSweep, ConcurrentTrafficIntegrityLegalityAndPins)
+{
+    ConcurrentPin got{};
+    driveConcurrent(GetParam(), {4, 16, 200, 1, 0}, got);
+    if (!HasFatalFailure())
+        expectPin(GetParam(), got, kConcurrentPins);
+}
+
+// A second shape: many IDs, deep queues, W beats that trickle in (so a
+// head gains beats while the scheduler already sees it, and while its
+// recycle gate is closed) and an R port that backs up.
+const std::map<std::string, ConcurrentPin> kTrickledPins = {
+    {"default", {28725, 0x8eb433e7016ca5b9ULL}},
+    {"lpddr", {31362, 0xbe5fb91c96dc423bULL}},
+    {"tinyWindow", {32065, 0xb6112271114af37dULL}},
+    {"hugeWindow", {29049, 0x5c8a7e3c14e7df57ULL}},
+    {"eagerWrites", {29403, 0x5adb21fd93bbbe34ULL}},
+    {"lazyWrites", {28789, 0x66b6fc43e1a87a7eULL}},
+    {"noRecycle", {27822, 0x310442aec6e1f173ULL}},
+    {"frequentRefresh", {30081, 0x79096f936eb72b5bULL}},
+    {"smallGeometry", {30110, 0x6aaf98fc41dcb5bcULL}},
+    {"fewOutstanding", {30790, 0x059aa816404d833eULL}},
+};
+
+TEST_P(DramSweep, TrickledWritesManyIdsPins)
+{
+    ConcurrentPin got{};
+    driveConcurrent(GetParam(), {16, 48, 300, 3, 5}, got);
+    if (!HasFatalFailure())
+        expectPin(GetParam(), got, kTrickledPins);
 }
 
 INSTANTIATE_TEST_SUITE_P(

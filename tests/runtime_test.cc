@@ -142,6 +142,30 @@ TEST(RuntimeServer, OutOfOrderCollection)
     SUCCEED();
 }
 
+TEST(RuntimeServer, IssuesIntoAFullResponseQueue)
+{
+    // Commands to one core whose responses nobody collects: once the
+    // response path is full the core stops taking commands and
+    // CMD_READY reads 0 until the host drains a response, so
+    // sendCommand must drain responses while it waits. 24 commands stay
+    // under the 32 rd tokens a core has.
+    SimulationPlatform platform;
+    AcceleratorConfig cfg(VecAddCore::systemConfig(1));
+    AcceleratorSoc soc(std::move(cfg), platform);
+    soc.sim().setWatchdog(100'000);
+    RuntimeServer server(soc);
+    fpga_handle_t handle(server);
+    remote_ptr vec = handle.malloc(64);
+    handle.copy_to_fpga(vec);
+    std::vector<response_handle<u64>> pending;
+    for (int i = 0; i < 24; ++i) {
+        pending.push_back(handle.invoke("MyAcceleratorSystem", "my_accel",
+                                        0, {1, vec.getFpgaAddr(), 16}));
+    }
+    for (response_handle<u64> &h : pending)
+        h.get();
+}
+
 TEST(RuntimeServer, HungAcceleratorTimesOut)
 {
     // A core that never responds: pollCommand consumed, no respond().

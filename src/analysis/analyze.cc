@@ -7,28 +7,8 @@ namespace beethoven
 namespace analysis
 {
 
-namespace
-{
-
-/// Deferral latch for AcceleratorSoc's constructor-tail validation.
-thread_local bool g_deferSocGraphValidation = false;
-
-} // namespace
-
-void
-setDeferSocGraphValidation(bool defer)
-{
-    g_deferSocGraphValidation = defer;
-}
-
-bool
-socGraphValidationDeferred()
-{
-    return g_deferSocGraphValidation;
-}
-
 lint::DiagnosticReport
-analyzeGraph(const SimGraph &g, const lint::CompositionModel *model)
+analyzeGraph(const SimGraphRecord &g, const lint::CompositionModel *model)
 {
     lint::DiagnosticReport rep;
     for (const GraphRuleEntry &rule : graphRules())

@@ -2,12 +2,12 @@
  * @file
  * The simulation-graph static analyzer (DESIGN.md §5d).
  *
- * Extends the PR 4 composition linter from *configuration* legality to
- * *simulation-graph* legality: rules over the SimGraph IR prove the
- * event kernel's wake/sleep contract (BTH10x) before a single cycle
- * runs. Diagnostics reuse the lint Diagnostic/DiagnosticReport
- * machinery and the stable-code registry; all violations are reported
- * in one pass.
+ * Extends the composition linter from *configuration* legality to
+ * *simulation-graph* legality: rules over a Simulator's own
+ * SimGraphRecord prove the event kernel's wake/sleep contract (BTH10x)
+ * before a single cycle runs. Diagnostics reuse the lint
+ * Diagnostic/DiagnosticReport machinery and the stable-code registry;
+ * all violations are reported in one pass.
  */
 
 #ifndef BEETHOVEN_ANALYSIS_ANALYZE_H
@@ -15,9 +15,9 @@
 
 #include <vector>
 
-#include "analysis/sim_graph.h"
 #include "base/types.h"
 #include "lint/diagnostic.h"
+#include "sim/graph_record.h"
 
 namespace beethoven
 {
@@ -33,23 +33,25 @@ namespace analysis
 /**
  * One analyzer rule. Mirrors lint::LintRuleEntry so the two rule
  * families stay structurally interchangeable; @p model is null when no
- * composition model is available (hand-built graphs in tests), in
+ * composition model is available (a bare Simulator in tests), in
  * which case model-dependent rules (the census) skip themselves.
  */
 struct GraphRuleEntry
 {
     const char *name;
     const char *layer; ///< "graph"
-    void (*fn)(const SimGraph &g, const lint::CompositionModel *model,
+    void (*fn)(const SimGraphRecord &g,
+               const lint::CompositionModel *model,
                lint::DiagnosticReport &rep);
 };
 
-/** Wake-contract and livelock rules (BTH100..BTH106). */
+/** Wake-contract and census rules (BTH100..BTH106). */
 const std::vector<GraphRuleEntry> &graphRules();
 
 /** Run every analyzer rule over @p g. */
 lint::DiagnosticReport analyzeGraph(
-    const SimGraph &g, const lint::CompositionModel *model = nullptr);
+    const SimGraphRecord &g,
+    const lint::CompositionModel *model = nullptr);
 
 /**
  * Placement-independent module census the composition model implies:
@@ -69,29 +71,6 @@ struct GraphShape
 };
 
 GraphShape predictGraphShape(const lint::CompositionModel &model);
-
-/**
- * When deferred, AcceleratorSoc's constructor-tail graph validation
- * records nothing and does not throw; tools and tests that want the
- * DiagnosticReport (or that plant violations on purpose) defer it and
- * call AcceleratorSoc::analyzeGraph() themselves. Per thread:
- * deferring on one thread leaves elaborations on other threads gated.
- */
-void setDeferSocGraphValidation(bool defer);
-bool socGraphValidationDeferred();
-
-/** RAII defer scope (exception-safe disarm). */
-class ScopedDeferGraphValidation
-{
-  public:
-    ScopedDeferGraphValidation() { setDeferSocGraphValidation(true); }
-    ~ScopedDeferGraphValidation() { setDeferSocGraphValidation(false); }
-
-    ScopedDeferGraphValidation(const ScopedDeferGraphValidation &) =
-        delete;
-    ScopedDeferGraphValidation &
-    operator=(const ScopedDeferGraphValidation &) = delete;
-};
 
 } // namespace analysis
 } // namespace beethoven

@@ -37,6 +37,17 @@ struct TxnRow
     Cycle doneCycle = 0;
 };
 
+/** A violation's description, streamed from @p parts. Only failing
+ *  checks build one; legal events never touch a stream. */
+template <typename... Parts>
+std::string
+describe(const Parts &...parts)
+{
+    std::ostringstream err;
+    (err << ... << parts);
+    return err.str();
+}
+
 std::vector<TxnRow>
 assembleRows(const std::vector<AxiEvent> &events)
 {
@@ -131,105 +142,139 @@ AxiTimeline::render(std::ostream &os, unsigned width) const
 }
 
 std::string
+LiveAxiChecker::observe(const AxiEvent &e)
+{
+    ++_eventsSeen;
+
+    // ID-leak screen: transactions must use IDs the elaborator
+    // actually handed out.
+    const bool is_read =
+        e.channel == AxiChannel::AR || e.channel == AxiChannel::R;
+    const bool is_write = !is_read;
+    if (is_read && _readIdBound != 0 && e.id >= _readIdBound) {
+        return describe(axiChannelName(e.channel), " uses read id ", e.id,
+                        " outside the allocated space [0, ", _readIdBound,
+                        ")");
+    }
+    if (is_write && _writeIdBound != 0 && e.id >= _writeIdBound &&
+        e.channel != AxiChannel::W) {
+        // W beats are tag-matched, not ID-matched, but AW and B carry
+        // real bus IDs.
+        return describe(axiChannelName(e.channel), " uses write id ", e.id,
+                        " outside the allocated space [0, ", _writeIdBound,
+                        ")");
+    }
+
+    switch (e.channel) {
+      case AxiChannel::AR:
+        _reads[e.id].push_back({e.tag, e.beats});
+        break;
+      case AxiChannel::AW:
+        _writes[e.id].push_back({e.tag, e.beats});
+        _writeDataDone[e.tag] = false;
+        break;
+      case AxiChannel::R: {
+        auto &q = _reads[e.id];
+        if (q.empty()) {
+            return describe("R beat for id ", e.id,
+                            " with no outstanding read");
+        }
+        // Same-ID ordering: data must belong to the oldest txn.
+        Outstanding &head = q.front();
+        if (head.tag != e.tag) {
+            return describe("R beat tag ", e.tag, " on id ", e.id,
+                            " violates same-ID ordering (expected tag ",
+                            head.tag, ")");
+        }
+        ++head.beatsSeen;
+        const bool should_be_last = head.beatsSeen == head.beatsExpected;
+        if (e.last != should_be_last) {
+            return describe("R last flag mismatch on tag ", e.tag,
+                            " (beat ", head.beatsSeen, "/",
+                            head.beatsExpected, ")");
+        }
+        if (e.last)
+            q.pop_front();
+        break;
+      }
+      case AxiChannel::W: {
+        // Find the oldest incomplete write burst with this tag.
+        bool found = false;
+        for (auto &[id, q] : _writes) {
+            for (auto &o : q) {
+                if (o.tag == e.tag && o.beatsSeen < o.beatsExpected) {
+                    ++o.beatsSeen;
+                    const bool last = o.beatsSeen == o.beatsExpected;
+                    if (e.last != last)
+                        return describe("W last flag mismatch on tag ", e.tag);
+                    if (last)
+                        _writeDataDone[e.tag] = true;
+                    found = true;
+                    break;
+                }
+            }
+            if (found)
+                break;
+        }
+        if (!found) {
+            return describe("W beat with tag ", e.tag,
+                            " matches no outstanding write");
+        }
+        break;
+      }
+      case AxiChannel::B: {
+        auto &q = _writes[e.id];
+        if (q.empty()) {
+            return describe("B response for id ", e.id,
+                            " with no outstanding write");
+        }
+        if (q.front().tag != e.tag) {
+            return describe("B response tag ", e.tag, " on id ", e.id,
+                            " violates same-ID ordering");
+        }
+        auto it = _writeDataDone.find(e.tag);
+        if (it == _writeDataDone.end() || !it->second)
+            return describe("B response before final W beat on tag ", e.tag);
+        q.pop_front();
+        _writeDataDone.erase(it);
+        break;
+      }
+    }
+    return "";
+}
+
+std::size_t
+LiveAxiChecker::outstandingReads() const
+{
+    std::size_t n = 0;
+    for (const auto &[id, q] : _reads)
+        n += q.size();
+    return n;
+}
+
+std::size_t
+LiveAxiChecker::outstandingWrites() const
+{
+    std::size_t n = 0;
+    for (const auto &[id, q] : _writes)
+        n += q.size();
+    return n;
+}
+
+bool
+LiveAxiChecker::quiescent() const
+{
+    return outstandingReads() == 0 && outstandingWrites() == 0;
+}
+
+std::string
 checkAxiProtocol(const std::vector<AxiEvent> &events)
 {
-    struct Outstanding
-    {
-        u64 tag;
-        u32 beatsExpected;
-        u32 beatsSeen = 0;
-    };
-    // Per-ID FIFOs of outstanding transactions.
-    std::map<u32, std::deque<Outstanding>> reads, writes;
-    // Write bursts whose data is complete but B is pending.
-    std::map<u64, bool> writeDataDone;
-    std::ostringstream err;
-
-    for (const auto &e : events) {
-        switch (e.channel) {
-          case AxiChannel::AR:
-            reads[e.id].push_back({e.tag, e.beats});
-            break;
-          case AxiChannel::AW:
-            writes[e.id].push_back({e.tag, e.beats});
-            writeDataDone[e.tag] = false;
-            break;
-          case AxiChannel::R: {
-            auto &q = reads[e.id];
-            if (q.empty()) {
-                err << "R beat for id " << e.id
-                    << " with no outstanding read";
-                return err.str();
-            }
-            // Same-ID ordering: data must belong to the oldest txn.
-            Outstanding &head = q.front();
-            if (head.tag != e.tag) {
-                err << "R beat tag " << e.tag << " on id " << e.id
-                    << " violates same-ID ordering (expected tag "
-                    << head.tag << ")";
-                return err.str();
-            }
-            ++head.beatsSeen;
-            const bool should_be_last = head.beatsSeen == head.beatsExpected;
-            if (e.last != should_be_last) {
-                err << "R last flag mismatch on tag " << e.tag << " (beat "
-                    << head.beatsSeen << "/" << head.beatsExpected << ")";
-                return err.str();
-            }
-            if (e.last)
-                q.pop_front();
-            break;
-          }
-          case AxiChannel::W: {
-            // Find the oldest incomplete write burst with this tag.
-            bool found = false;
-            for (auto &[id, q] : writes) {
-                for (auto &o : q) {
-                    if (o.tag == e.tag && o.beatsSeen < o.beatsExpected) {
-                        ++o.beatsSeen;
-                        const bool last = o.beatsSeen == o.beatsExpected;
-                        if (e.last != last) {
-                            err << "W last flag mismatch on tag " << e.tag;
-                            return err.str();
-                        }
-                        if (last)
-                            writeDataDone[e.tag] = true;
-                        found = true;
-                        break;
-                    }
-                }
-                if (found)
-                    break;
-            }
-            if (!found) {
-                err << "W beat with tag " << e.tag
-                    << " matches no outstanding write";
-                return err.str();
-            }
-            break;
-          }
-          case AxiChannel::B: {
-            auto &q = writes[e.id];
-            if (q.empty()) {
-                err << "B response for id " << e.id
-                    << " with no outstanding write";
-                return err.str();
-            }
-            if (q.front().tag != e.tag) {
-                err << "B response tag " << e.tag << " on id " << e.id
-                    << " violates same-ID ordering";
-                return err.str();
-            }
-            auto it = writeDataDone.find(e.tag);
-            if (it == writeDataDone.end() || !it->second) {
-                err << "B response before final W beat on tag " << e.tag;
-                return err.str();
-            }
-            q.pop_front();
-            writeDataDone.erase(it);
-            break;
-          }
-        }
+    LiveAxiChecker checker;
+    for (const AxiEvent &e : events) {
+        std::string err = checker.observe(e);
+        if (!err.empty())
+            return err;
     }
     return "";
 }

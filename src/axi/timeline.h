@@ -1,14 +1,16 @@
 /**
  * @file
  * AXI transaction timeline recorder — regenerates the Fig. 5 style
- * annotated timing diagrams and feeds the protocol-legality checker
- * used in tests.
+ * annotated timing diagrams — and the one AXI protocol-legality
+ * checker, which the live invariants and the tests both use.
  */
 
 #ifndef BEETHOVEN_AXI_TIMELINE_H
 #define BEETHOVEN_AXI_TIMELINE_H
 
+#include <deque>
 #include <functional>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -40,7 +42,7 @@ struct AxiEvent
  *
  * The DRAM controller calls record() as it accepts requests and moves
  * data beats; benches render the trace as an ASCII timing diagram and
- * tests replay it through AxiProtocolChecker.
+ * tests replay it through checkAxiProtocol.
  */
 class AxiTimeline
 {
@@ -102,14 +104,63 @@ class AxiTimeline
 };
 
 /**
- * Validates an event stream against the AXI rules the framework relies
- * on. Returns an empty string when legal, else a description of the
- * first violation. Checked rules:
+ * Streaming AXI protocol checker, fed one event at a time so a
+ * violation surfaces at the cycle it occurs. Checked rules:
  *  - every R/W beat belongs to an outstanding transaction;
  *  - bursts deliver exactly the requested number of beats, with `last`
  *    on the final beat only;
  *  - transactions on the same ID complete in request order;
- *  - B responses only after the corresponding last W beat.
+ *  - B responses only after the corresponding last W beat;
+ *  - with ID bounds set, every AR/R/AW/B ID lies inside them.
+ */
+class LiveAxiChecker
+{
+  public:
+    /**
+     * Bound the legal ID space (0 = unchecked). IDs at or above the
+     * bound are reported as leaks — they would alias another
+     * endpoint's transactions on real hardware.
+     */
+    void
+    setIdBounds(u32 read_ids, u32 write_ids)
+    {
+        _readIdBound = read_ids;
+        _writeIdBound = write_ids;
+    }
+
+    /**
+     * Feed the next event. @return empty string if still legal, else
+     * a description of the violation (checker state is then stale;
+     * callers are expected to abort).
+     */
+    std::string observe(const AxiEvent &e);
+
+    /** True when no read or write transaction is outstanding. */
+    bool quiescent() const;
+
+    std::size_t outstandingReads() const;
+    std::size_t outstandingWrites() const;
+    u64 eventsSeen() const { return _eventsSeen; }
+
+  private:
+    struct Outstanding
+    {
+        u64 tag;
+        u32 beatsExpected;
+        u32 beatsSeen = 0;
+    };
+
+    // Per-ID FIFOs of outstanding transactions.
+    std::map<u32, std::deque<Outstanding>> _reads, _writes;
+    // Write bursts whose data is complete but whose B is pending.
+    std::map<u64, bool> _writeDataDone;
+    u32 _readIdBound = 0, _writeIdBound = 0;
+    u64 _eventsSeen = 0;
+};
+
+/**
+ * Run a recorded stream through a LiveAxiChecker without ID bounds.
+ * Returns an empty string when legal, else the first violation.
  */
 std::string checkAxiProtocol(const std::vector<AxiEvent> &events);
 

@@ -346,21 +346,17 @@ AcceleratorSoc::buildPowerLedger()
 void
 AcceleratorSoc::validateGraph()
 {
-    if (analysis::socGraphValidationDeferred())
-        return;
-    const lint::DiagnosticReport report = analyzeGraph();
+    lint::DiagnosticReport report = analyzeGraph();
     if (report.hasErrors()) {
-        fatal("simulation-graph contract violated: %zu error(s), "
-              "%zu warning(s)\n%s",
-              report.errorCount(), report.warningCount(),
-              report.format().c_str());
+        throw lint::DiagnosticError("simulation-graph contract violated",
+                                    std::move(report));
     }
 }
 
 lint::DiagnosticReport
 AcceleratorSoc::analyzeGraph() const
 {
-    return analysis::analyzeGraph(analysis::buildSimGraph(_sim), &_model);
+    return analysis::analyzeGraph(_sim.graphRecord(), &_model);
 }
 
 void
@@ -371,12 +367,9 @@ AcceleratorSoc::validate()
     // instead of first-error-wins. Warnings alone never block a
     // build; surface them with tools/soc_lint.
     _model = lint::buildCompositionModel(_config, _platform);
-    const lint::DiagnosticReport report = lint::lintComposition(_model);
-    if (report.hasErrors()) {
-        fatal("invalid composition: %zu error(s), %zu warning(s)\n%s",
-              report.errorCount(), report.warningCount(),
-              report.format().c_str());
-    }
+    lint::DiagnosticReport report = lint::lintComposition(_model);
+    if (report.hasErrors())
+        throw lint::DiagnosticError("invalid composition", std::move(report));
 }
 
 void

@@ -61,7 +61,10 @@ class AcceleratorSoc
 {
   public:
     /**
-     * Elaborate @p config onto @p platform.
+     * Elaborate @p config onto @p platform. The constructor is the one
+     * gate a composition passes: the linter runs first and the graph
+     * analyzer last, and an error from either throws
+     * lint::DiagnosticError with its full report.
      * @note the platform must outlive the SoC.
      * @throws ConfigError on invalid configurations (duplicate names,
      *         AXI ID exhaustion, designs that do not fit the device).
@@ -132,9 +135,8 @@ class AcceleratorSoc
     /**
      * Run the simulation-graph analyzer (src/analysis/, DESIGN.md §5d)
      * over this SoC's elaborated graph and composition model. The
-     * constructor already ran it and failed on errors (unless deferred
-     * via analysis::ScopedDeferGraphValidation); call this to get the
-     * full report including warnings and notes.
+     * constructor already ran it and threw on errors; call this for
+     * the warnings and notes of a SoC that elaborated.
      */
     lint::DiagnosticReport analyzeGraph() const;
 
@@ -160,7 +162,7 @@ class AcceleratorSoc
     template <typename Fn>
     void forEachTree(Fn &&fn) const;
 
-    /** Constructor-tail graph analysis; fatal on contract errors. */
+    /** Constructor-tail graph analysis; throws on contract errors. */
     void validateGraph();
 
     /**

@@ -94,8 +94,7 @@ diagnosticRegistry()
          "sleepable module with no reachable wake source"},
         {"BTH103", "graph", Severity::Error,
          "self-wake declared without a sleep site"},
-        {"BTH104", "graph", Severity::Error,
-         "zero-latency wake cycle (same-cycle livelock)"},
+        // BTH104 (zero-latency wake cycle) is retired and unassigned.
         {"BTH105", "graph", Severity::Warning,
          "self-wake loop: module is both producer and consumer of a "
          "wake-armed queue"},
@@ -208,6 +207,31 @@ DiagnosticReport::toJson() const
     }
     os << "\n  ]\n}\n";
     return os.str();
+}
+
+namespace
+{
+
+std::string
+gateMessage(const std::string &headline, const DiagnosticReport &report)
+{
+    std::string what = detail::formatMessage(
+        "fatal: %s: %zu error(s), %zu warning(s)\n", headline.c_str(),
+        report.errorCount(), report.warningCount());
+    what += report.format();
+    if (what.back() == '\n')
+        what.pop_back();
+    return what;
+}
+
+} // namespace
+
+// The base is built from the report before the member takes it over.
+DiagnosticError::DiagnosticError(const std::string &headline,
+                                 DiagnosticReport report)
+    : ConfigError(gateMessage(headline, report)),
+      _report(std::move(report))
+{
 }
 
 } // namespace beethoven::lint

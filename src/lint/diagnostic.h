@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "base/log.h"
+
 namespace beethoven::lint
 {
 
@@ -100,6 +102,24 @@ class DiagnosticReport
 
   private:
     std::vector<Diagnostic> _diags;
+};
+
+/**
+ * What a check gate throws when its report holds an error: the
+ * AcceleratorSoc constructor's linter and graph-analyzer passes. A
+ * ConfigError like any other (what() is the summary line and the
+ * formatted report), which also hands tools the structured findings.
+ */
+class DiagnosticError : public ConfigError
+{
+  public:
+    /** what() reads "fatal: <headline>: N error(s), M warning(s)". */
+    DiagnosticError(const std::string &headline, DiagnosticReport report);
+
+    const DiagnosticReport &report() const { return _report; }
+
+  private:
+    DiagnosticReport _report;
 };
 
 } // namespace beethoven::lint

@@ -11,27 +11,10 @@ namespace
 /// Countdown for the planted missing-push-wake; 0 means disarmed.
 thread_local u64 g_plantMissingPushWake = 0;
 
-} // namespace
-
-void
-plantMissingPushWake(u64 nth)
-{
-    g_plantMissingPushWake = nth;
-}
-
-bool
-consumePlantMissingPushWake()
-{
-    if (g_plantMissingPushWake == 0)
-        return false;
-    return --g_plantMissingPushWake == 0;
-}
-
+/** Repo-relative suffix of @p path ("src/…", "tools/…", …) or basename. */
 std::string
 trimSourcePath(const char *path)
 {
-    if (path == nullptr)
-        return "<unknown>";
     static const char *const roots[] = {"/src/", "/tools/", "/tests/",
                                         "/bench/", "/examples/"};
     const char *best = nullptr;
@@ -50,11 +33,20 @@ trimSourcePath(const char *path)
     return std::string(slash != nullptr ? slash + 1 : path);
 }
 
-std::string
-formatSourceSite(const std::source_location &loc)
+} // namespace
+
+void
+plantMissingPushWake(u64 nth)
 {
-    return trimSourcePath(loc.file_name()) + ":" +
-           std::to_string(loc.line());
+    g_plantMissingPushWake = nth;
+}
+
+bool
+consumePlantMissingPushWake()
+{
+    if (g_plantMissingPushWake == 0)
+        return false;
+    return --g_plantMissingPushWake == 0;
 }
 
 std::string
@@ -65,6 +57,13 @@ SourceSite::str() const
     return trimSourcePath(file) + ":" + std::to_string(line);
 }
 
+const SimGraphRecord::ModuleInfo *
+SimGraphRecord::info(const Module *m) const
+{
+    auto it = _moduleIndex.find(m);
+    return it == _moduleIndex.end() ? nullptr : &_modules[it->second];
+}
+
 SimGraphRecord::ModuleInfo &
 SimGraphRecord::infoFor(Module *m)
 {
@@ -72,9 +71,9 @@ SimGraphRecord::infoFor(Module *m)
     if (it != _moduleIndex.end())
         return _modules[it->second];
     _moduleIndex.emplace(m, _modules.size());
-    ModuleInfo info;
-    info.module = m;
-    _modules.push_back(std::move(info));
+    ModuleInfo entry;
+    entry.module = m;
+    _modules.push_back(entry);
     return _modules.back();
 }
 

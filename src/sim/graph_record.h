@@ -6,9 +6,9 @@
  * registrations and sleep declarations all note themselves here as
  * they are constructed, with std::source_location provenance. The
  * record is pure metadata: it is never consulted on the simulation
- * fast path. src/analysis/ lowers it to an immutable SimGraph IR and
- * proves the wake/sleep contract and livelock freedom before a single
- * cycle runs (DESIGN.md §5d).
+ * fast path. The graph rules in src/analysis/ read it as it stands and
+ * prove the wake/sleep contract before a single cycle runs (DESIGN.md
+ * §5d).
  */
 
 #ifndef BEETHOVEN_SIM_GRAPH_RECORD_H
@@ -26,17 +26,11 @@ namespace beethoven
 
 class Module;
 
-/** Repo-relative suffix of @p path ("src/…", "tools/…", …) or basename. */
-std::string trimSourcePath(const char *path);
-
-/** "src/file.cc:42" form of a source location, repo-relative. */
-std::string formatSourceSite(const std::source_location &loc);
-
 /**
  * Zero-allocation capture of a registration site. Elaboration runs a
  * SoC constructor per composition (several per bench process), so the
  * record stores the raw file/line pair and only formats the
- * "src/file.cc:42" string when the analyzer lowers it to the IR.
+ * "src/file.cc:42" string when a diagnostic names the site.
  */
 struct SourceSite
 {
@@ -119,6 +113,9 @@ class SimGraphRecord
 
     const std::vector<ModuleInfo> &modules() const { return _modules; }
     const std::vector<QueueEdge> &edges() const { return _edges; }
+
+    /** @p m's entry; nullptr for a module this record never saw. */
+    const ModuleInfo *info(const Module *m) const;
 
   private:
     ModuleInfo &infoFor(Module *m);

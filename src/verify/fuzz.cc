@@ -1,13 +1,15 @@
 #include "verify/fuzz.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
 
 #include "accel/machsuite/gemm.h"
+#include "base/decimal.h"
 #include "base/json.h"
 #include "base/log.h"
 #include "baselines/machsuite_golden.h"
@@ -515,8 +517,11 @@ unsigned
 asUnsigned(const JsonValue &obj, const char *key)
 {
     const JsonValue &v = member(obj, key);
-    if (!v.isNumber())
-        fatal("fuzz repro JSON: '%s' is not a number", key);
+    // The negated range test also rejects NaN.
+    if (!v.isNumber() || !(v.number >= 0 && v.number <= UINT_MAX) ||
+        v.number != std::floor(v.number))
+        fatal("fuzz repro JSON: '%s' is not an integer in [0, %u]", key,
+              UINT_MAX);
     return static_cast<unsigned>(v.number);
 }
 
@@ -533,9 +538,11 @@ u64
 asU64String(const JsonValue &obj, const char *key)
 {
     const JsonValue &v = member(obj, key);
-    if (!v.isString())
+    const std::optional<u64> n =
+        v.isString() ? parseDecimal(v.string) : std::nullopt;
+    if (!n)
         fatal("fuzz repro JSON: '%s' is not a string-encoded u64", key);
-    return std::strtoull(v.string.c_str(), nullptr, 10);
+    return *n;
 }
 
 FuzzKind
@@ -616,25 +623,17 @@ fuzzCaseFromJson(const std::string &text)
     FuzzCase c;
     c.seed = asU64String(root, "seed");
     c.plantViolation = asBool(root, "plant_violation");
-    // Optional for compatibility with repro files written before the
-    // composition linter existed.
-    if (const JsonValue *v = root.find("plant_lint_violation"))
-        c.plantLintViolation = v->isBool() && v->boolean;
-    // Optional likewise (predates the power ledger).
-    if (const JsonValue *v = root.find("plant_power_violation"))
-        c.plantPowerViolation = v->isBool() && v->boolean;
-    // Optional likewise (predates the event kernel).
-    if (const JsonValue *v = root.find("plant_lost_wake")) {
-        if (v->isString())
-            c.plantLostWake =
-                std::strtoull(v->string.c_str(), nullptr, 10);
-    }
-    // Optional likewise (predates the static analyzer).
-    if (const JsonValue *v = root.find("plant_wake_violation")) {
-        if (v->isString())
-            c.plantWakeViolation =
-                std::strtoull(v->string.c_str(), nullptr, 10);
-    }
+    // Optional, for repro files written before the composition linter,
+    // the power ledger, the event kernel and the static analyzer
+    // existed; when present they must still have their type.
+    if (root.find("plant_lint_violation"))
+        c.plantLintViolation = asBool(root, "plant_lint_violation");
+    if (root.find("plant_power_violation"))
+        c.plantPowerViolation = asBool(root, "plant_power_violation");
+    if (root.find("plant_lost_wake"))
+        c.plantLostWake = asU64String(root, "plant_lost_wake");
+    if (root.find("plant_wake_violation"))
+        c.plantWakeViolation = asU64String(root, "plant_wake_violation");
 
     const JsonValue &p = member(root, "platform");
     c.platform.nSlrs = asUnsigned(p, "n_slrs");

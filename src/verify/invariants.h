@@ -6,9 +6,9 @@
  * watchdog); this layer gives it teeth. SocInvariants attaches to an
  * AcceleratorSoc and checks, while the simulation runs:
  *
- *  - AXI protocol legality at the DRAM port (incremental port of
- *    checkAxiProtocol — per-ID ordering, burst beat counts, last
- *    flags, B-after-W);
+ *  - AXI protocol legality at the DRAM port (LiveAxiChecker, the one
+ *    AXI checker — per-ID ordering, burst beat counts, last flags,
+ *    B-after-W);
  *  - no AXI-ID leaks: every bus ID stays inside the ID-space the
  *    elaborator allocated to read/write endpoints;
  *  - one-response-per-command accounting at the MMIO front-end
@@ -26,7 +26,6 @@
 #define BEETHOVEN_VERIFY_INVARIANTS_H
 
 #include <cstddef>
-#include <deque>
 #include <map>
 #include <string>
 
@@ -40,57 +39,6 @@ namespace beethoven
 class AcceleratorSoc;
 struct RoccCommand;
 struct RoccResponse;
-
-/**
- * Incremental AXI protocol checker: the streaming equivalent of
- * checkAxiProtocol (axi/timeline.h), fed one event at a time so
- * violations surface at the cycle they occur instead of post-mortem.
- */
-class LiveAxiChecker
-{
-  public:
-    /**
-     * Bound the legal ID space (0 = unchecked). IDs at or above the
-     * bound are reported as leaks — they would alias another
-     * endpoint's transactions on real hardware.
-     */
-    void
-    setIdBounds(u32 read_ids, u32 write_ids)
-    {
-        _readIdBound = read_ids;
-        _writeIdBound = write_ids;
-    }
-
-    /**
-     * Feed the next event. @return empty string if still legal, else
-     * a description of the violation (checker state is then stale;
-     * callers are expected to abort).
-     */
-    std::string observe(const AxiEvent &e);
-
-    /** True when no read or write transaction is outstanding. */
-    bool quiescent() const;
-
-    std::size_t outstandingReads() const;
-    std::size_t outstandingWrites() const;
-    u64 eventsSeen() const { return _eventsSeen; }
-
-  private:
-    struct Outstanding
-    {
-        u64 tag;
-        u32 beatsExpected;
-        u32 beatsSeen = 0;
-    };
-
-    // Per-ID FIFOs of outstanding transactions (same model as the
-    // post-hoc checker).
-    std::map<u32, std::deque<Outstanding>> _reads, _writes;
-    // Write bursts whose data is complete but whose B is pending.
-    std::map<u64, bool> _writeDataDone;
-    u32 _readIdBound = 0, _writeIdBound = 0;
-    u64 _eventsSeen = 0;
-};
 
 /**
  * The composite live invariant for one SoC. Construction subscribes

@@ -1,21 +1,21 @@
 /**
  * @file
  * Unit tests for the simulation-graph static analyzer (src/analysis/):
- * one positive and one negative case per BTH1xx code over hand-built
- * SimGraph IR, the graph lowering of a real elaborated SoC, the
- * planted-wake catch path (a lost-wake bug flagged WITHOUT running a
- * single cycle), and the static/dynamic pairing with the differential
- * fuzz harness.
+ * one positive and one negative case per graph rule, wired on a bare
+ * Simulator through the TimedQueue and Module declarations elaboration
+ * itself uses; the census of a real elaborated SoC; the constructor
+ * gate rejecting a planted lost wake before a single cycle runs; and
+ * the static/dynamic pairing with the differential fuzz harness.
  */
 
 #include <gtest/gtest.h>
 
 #include "analysis/analyze.h"
-#include "analysis/sim_graph.h"
 #include "base/log.h"
 #include "core/soc.h"
 #include "lint/lint.h"
 #include "sim/graph_record.h"
+#include "sim/queue.h"
 #include "verify/fuzz.h"
 #include "verify/random_soc.h"
 #include "verify/traffic.h"
@@ -25,211 +25,170 @@ namespace beethoven
 namespace
 {
 
-using analysis::GraphEdge;
-using analysis::GraphModule;
-using analysis::kNoIndex;
-using analysis::SimGraph;
 using verify::FuzzCase;
 using verify::FuzzKind;
 using verify::FuzzSystem;
 
-/** Minimal two-module graph: producer feeds consumer over one queue. */
-SimGraph
-pairGraph()
+/** A module that only declares its wake posture; nothing ticks it. */
+class Stub : public Module
 {
-    SimGraph g;
-    GraphModule prod;
-    prod.name = "prod";
-    GraphModule cons;
-    cons.name = "cons";
-    g.modules = {prod, cons};
-    GraphEdge e;
-    e.site = "tests/synthetic:1";
-    e.capacity = 4;
-    e.latency = 1;
-    e.producer = 0;
-    e.consumer = 1;
-    e.pushWakeArmed = true;
-    e.pushWakeTarget = 1;
-    g.edges = {e};
-    return g;
+  public:
+    Stub(Simulator &sim, std::string name, bool sleepable = false,
+         bool self_wake = false)
+        : Module(sim, std::move(name))
+    {
+        if (sleepable)
+            declareSleepable();
+        if (self_wake)
+            declareSelfWake();
+    }
+    void tick() override {}
+};
+
+/** The rules' verdict on everything registered with @p sim. */
+lint::DiagnosticReport
+analyze(const Simulator &sim)
+{
+    return analysis::analyzeGraph(sim.graphRecord());
 }
 
 // --- BTH100: sleepable consumer without an armed push-wake ----------
 
 TEST(GraphRules, Bth100FiresOnSleepableConsumerWithoutPushWake)
 {
-    SimGraph g = pairGraph();
-    g.modules[1].sleepable = true;
-    g.modules[1].sleepSite = "tests/synthetic:2";
-    g.edges[0].pushWakeArmed = false;
-    g.edges[0].pushWakeTarget = kNoIndex;
-    // Keep the module reachable through a pop-wake so only BTH100
-    // (not BTH102) is under test.
-    g.edges[0].popWakeArmed = true;
-    g.edges[0].producer = 1;
-    const auto rep = analysis::analyzeGraph(g);
-    EXPECT_TRUE(rep.has("BTH100"));
+    Simulator sim;
+    Stub prod(sim, "prod"), cons(sim, "cons", /*sleepable=*/true);
+    TimedQueue<int> q(sim, 4);
+    q.declareProducer(&prod);
+    q.declareConsumer(&cons);
+    // A pop-wake keeps 'cons' reachable, so only BTH100 (not BTH102)
+    // is under test.
+    TimedQueue<int> back(sim, 4);
+    back.setWakeOnPop(&cons);
+    const auto rep = analyze(sim);
+    ASSERT_EQ(rep.codes(), std::vector<std::string>{"BTH100"})
+        << rep.format();
+    // The diagnostic names the queue's construction site.
+    EXPECT_NE(rep.diagnostics()[0].message.find("tests/analysis_test.cc:"),
+              std::string::npos)
+        << rep.format();
 }
 
 TEST(GraphRules, Bth100SilentWhenPushWakeArmedOrConsumerPolls)
 {
-    SimGraph g = pairGraph();
-    g.modules[1].sleepable = true;
-    EXPECT_FALSE(analysis::analyzeGraph(g).has("BTH100"));
-
+    Simulator sim;
+    Stub prod(sim, "prod"), sleeper(sim, "sleeper", /*sleepable=*/true),
+        poller(sim, "poller");
+    TimedQueue<int> armed(sim, 4), polled(sim, 4);
+    armed.declareProducer(&prod);
+    armed.setWakeOnPush(&sleeper);
     // A poll-driven (never-sleeping) consumer needs no push-wake.
-    SimGraph g2 = pairGraph();
-    g2.edges[0].pushWakeArmed = false;
-    g2.edges[0].pushWakeTarget = kNoIndex;
-    EXPECT_FALSE(analysis::analyzeGraph(g2).has("BTH100"));
+    polled.declareProducer(&prod);
+    polled.declareConsumer(&poller);
+    EXPECT_FALSE(analyze(sim).has("BTH100"));
 }
 
 // --- BTH101: push-wake armed at a module that is not the consumer --
 
 TEST(GraphRules, Bth101FiresOnMisdirectedPushWake)
 {
-    SimGraph g = pairGraph();
-    g.edges[0].pushWakeTarget = 0; // armed at the producer, not 'cons'
-    const auto rep = analysis::analyzeGraph(g);
-    EXPECT_TRUE(rep.has("BTH101"));
+    Simulator sim;
+    Stub other(sim, "other"), cons(sim, "cons");
+    TimedQueue<int> q(sim, 4);
+    q.declareConsumer(&cons);
+    q.setWakeOnPush(&other); // armed at a bystander, not 'cons'
+    EXPECT_TRUE(analyze(sim).has("BTH101"));
 }
 
 TEST(GraphRules, Bth101SilentWhenWakeTargetsTheConsumer)
 {
-    EXPECT_FALSE(analysis::analyzeGraph(pairGraph()).has("BTH101"));
+    Simulator sim;
+    Stub prod(sim, "prod"), cons(sim, "cons");
+    TimedQueue<int> q(sim, 4);
+    q.declareProducer(&prod);
+    q.setWakeOnPush(&cons);
+    EXPECT_FALSE(analyze(sim).has("BTH101"));
 }
 
 // --- BTH102: sleepable module with no reachable wake source --------
 
 TEST(GraphRules, Bth102FiresOnUnwakeableSleeper)
 {
-    SimGraph g;
-    GraphModule m;
-    m.name = "stuck";
-    m.sleepable = true;
-    m.sleepSite = "tests/synthetic:3";
-    g.modules = {m};
-    const auto rep = analysis::analyzeGraph(g);
+    Simulator sim;
+    Stub stuck(sim, "stuck", /*sleepable=*/true);
+    const auto rep = analyze(sim);
     EXPECT_TRUE(rep.has("BTH102"));
     EXPECT_TRUE(rep.hasErrors());
 }
 
 TEST(GraphRules, Bth102SilentWithPushWakePopWakeOrSelfWake)
 {
-    // Push-wake reachable.
-    EXPECT_FALSE([] {
-        SimGraph g = pairGraph();
-        g.modules[1].sleepable = true;
-        return analysis::analyzeGraph(g).has("BTH102");
-    }());
-    // Pop-wake reachable (producer side).
-    EXPECT_FALSE([] {
-        SimGraph g = pairGraph();
-        g.modules[0].sleepable = true;
-        g.edges[0].popWakeArmed = true;
-        return analysis::analyzeGraph(g).has("BTH102");
-    }());
-    // Self-wake (e.g. the DRAM refresh timer).
-    EXPECT_FALSE([] {
-        SimGraph g;
-        GraphModule m;
-        m.name = "timer";
-        m.sleepable = true;
-        m.selfWake = true;
-        g.modules = {m};
-        return analysis::analyzeGraph(g).has("BTH102");
-    }());
+    Simulator sim;
+    Stub prod(sim, "prod", /*sleepable=*/true),
+        cons(sim, "cons", /*sleepable=*/true),
+        // e.g. the DRAM refresh timer
+        timer(sim, "timer", /*sleepable=*/true, /*self_wake=*/true);
+    TimedQueue<int> q(sim, 4);
+    q.setWakeOnPop(&prod);
+    q.setWakeOnPush(&cons);
+    EXPECT_FALSE(analyze(sim).has("BTH102"));
 }
 
 // --- BTH103: self-wake declared without a sleep site ---------------
 
 TEST(GraphRules, Bth103FiresOnSelfWakeWithoutSleep)
 {
-    SimGraph g;
-    GraphModule m;
-    m.name = "dead-arm";
-    m.selfWake = true;
-    m.selfWakeSite = "tests/synthetic:4";
-    g.modules = {m};
-    EXPECT_TRUE(analysis::analyzeGraph(g).has("BTH103"));
+    Simulator sim;
+    Stub dead_arm(sim, "dead-arm", /*sleepable=*/false,
+                  /*self_wake=*/true);
+    EXPECT_TRUE(analyze(sim).has("BTH103"));
 }
 
 TEST(GraphRules, Bth103SilentWhenPaired)
 {
-    SimGraph g;
-    GraphModule m;
-    m.name = "timer";
-    m.selfWake = true;
-    m.sleepable = true;
-    g.modules = {m};
-    EXPECT_FALSE(analysis::analyzeGraph(g).has("BTH103"));
-}
-
-// --- BTH104: zero-latency wake cycles ------------------------------
-
-TEST(GraphRules, Bth104FiresOnZeroLatencyCycle)
-{
-    // a -> b -> a, both hops armed push-wakes through latency-0 queues.
-    SimGraph g;
-    GraphModule a, b;
-    a.name = "a";
-    b.name = "b";
-    g.modules = {a, b};
-    GraphEdge ab, ba;
-    ab.producer = 0;
-    ab.consumer = 1;
-    ab.pushWakeArmed = true;
-    ab.pushWakeTarget = 1;
-    ab.latency = 0;
-    ba.producer = 1;
-    ba.consumer = 0;
-    ba.pushWakeArmed = true;
-    ba.pushWakeTarget = 0;
-    ba.latency = 0;
-    g.edges = {ab, ba};
-    const auto rep = analysis::analyzeGraph(g);
-    EXPECT_TRUE(rep.has("BTH104"));
-    EXPECT_TRUE(rep.hasErrors());
-}
-
-TEST(GraphRules, Bth104SilentWhenAnyHopHasLatency)
-{
-    SimGraph g;
-    GraphModule a, b;
-    a.name = "a";
-    b.name = "b";
-    g.modules = {a, b};
-    GraphEdge ab, ba;
-    ab.producer = 0;
-    ab.consumer = 1;
-    ab.pushWakeArmed = true;
-    ab.pushWakeTarget = 1;
-    ab.latency = 0;
-    ba.producer = 1;
-    ba.consumer = 0;
-    ba.pushWakeArmed = true;
-    ba.pushWakeTarget = 0;
-    ba.latency = 1; // a real TimedQueue: breaks the same-cycle loop
-    g.edges = {ab, ba};
-    EXPECT_FALSE(analysis::analyzeGraph(g).has("BTH104"));
+    Simulator sim;
+    Stub timer(sim, "timer", /*sleepable=*/true, /*self_wake=*/true);
+    EXPECT_FALSE(analyze(sim).has("BTH103"));
 }
 
 // --- BTH105: producer is its own push-wake target ------------------
 
 TEST(GraphRules, Bth105FiresOnSelfWakeLoop)
 {
-    SimGraph g = pairGraph();
-    g.edges[0].pushWakeTarget = 0; // producer wakes itself on push
-    EXPECT_TRUE(analysis::analyzeGraph(g).has("BTH105"));
+    Simulator sim;
+    Stub prod(sim, "prod"), cons(sim, "cons");
+    TimedQueue<int> q(sim, 4);
+    q.declareProducer(&prod);
+    q.declareConsumer(&cons);
+    q.setWakeOnPush(&prod); // producer wakes itself on push
+    EXPECT_TRUE(analyze(sim).has("BTH105"));
 }
 
 TEST(GraphRules, Bth105SilentOnNormalWiring)
 {
-    EXPECT_FALSE(analysis::analyzeGraph(pairGraph()).has("BTH105"));
+    Simulator sim;
+    Stub prod(sim, "prod"), cons(sim, "cons");
+    TimedQueue<int> q(sim, 4);
+    q.declareProducer(&prod);
+    q.setWakeOnPush(&cons);
+    EXPECT_FALSE(analyze(sim).has("BTH105"));
 }
 
-// --- Real-SoC lowering, census, and the planted-wake catch ---------
+TEST(GraphRules, EveryAnalyzerCodeIsRegisteredWithStableLayer)
+{
+    for (const char *code :
+         {"BTH100", "BTH101", "BTH102", "BTH103", "BTH105", "BTH106"}) {
+        const auto *info = lint::findDiagnosticCode(code);
+        ASSERT_NE(info, nullptr) << code;
+        EXPECT_EQ(std::string(info->layer), "graph") << code;
+    }
+    // Retired codes stay unassigned so old reports keep their meaning.
+    for (const char *code :
+         {"BTH104", "BTH110", "BTH111", "BTH112", "BTH113"})
+        EXPECT_EQ(lint::findDiagnosticCode(code), nullptr) << code;
+}
+
+// --- Real-SoC census and the planted-wake catch -------------------
 
 FuzzCase
 memcpyCase()
@@ -266,39 +225,45 @@ TEST(SocAnalysis, CensusMatchesCompositionModel)
     const AcceleratorConfig bigger_config =
         verify::buildAcceleratorConfig(bigger);
     const auto model = lint::buildCompositionModel(bigger_config, platform);
-    const analysis::SimGraph g = analysis::buildSimGraph(soc.sim());
-    EXPECT_TRUE(analysis::analyzeGraph(g, &model).has("BTH106"));
+    EXPECT_TRUE(analysis::analyzeGraph(soc.sim().graphRecord(), &model)
+                    .has("BTH106"));
 }
 
 TEST(SocAnalysis, PlantedMissingPushWakeIsCaughtStatically)
 {
     // The bug --plant-lost-wake=N plants dynamically (a wake that
-    // never arrives) is planted here at its root cause — an unarmed
-    // push-wake — and must be flagged BEFORE a single cycle runs.
-    analysis::ScopedDeferGraphValidation defer;
+    // never arrives) is planted here at its root cause, an unarmed
+    // push-wake, and the graph rules must flag it from the elaboration
+    // record alone: the report the constructor throws carries BTH100
+    // as an error, and no SoC exists to run a cycle on.
     plantMissingPushWake(1);
     const verify::FuzzPlatform platform(memcpyCase().platform);
-    const AcceleratorSoc soc(verify::buildAcceleratorConfig(memcpyCase()),
-                             platform);
+    try {
+        const AcceleratorSoc soc(
+            verify::buildAcceleratorConfig(memcpyCase()), platform);
+        ADD_FAILURE() << "the planted graph elaborated";
+    } catch (const lint::DiagnosticError &e) {
+        EXPECT_TRUE(e.report().has("BTH100")) << e.report().format();
+        EXPECT_TRUE(e.report().hasErrors());
+    }
     plantMissingPushWake(0);
-    EXPECT_EQ(soc.sim().cycle(), 0u) << "analysis must not simulate";
-    const auto rep = soc.analyzeGraph();
-    EXPECT_TRUE(rep.has("BTH100")) << rep.format();
-    EXPECT_TRUE(rep.hasErrors());
 }
 
 TEST(SocAnalysis, PlantedMissingPushWakeFailsElaboration)
 {
-    // Without the deferral the constructor-tail validation must
-    // reject the planted graph outright.
+    // The constructor is the only gate: it rejects the planted graph
+    // as a plain ConfigError, so every existing handler still catches
+    // it, and the message names the code.
     plantMissingPushWake(1);
     const verify::FuzzPlatform platform(memcpyCase().platform);
-    EXPECT_THROW(
-        {
-            const AcceleratorSoc soc(
-                verify::buildAcceleratorConfig(memcpyCase()), platform);
-        },
-        ConfigError);
+    try {
+        const AcceleratorSoc soc(
+            verify::buildAcceleratorConfig(memcpyCase()), platform);
+        ADD_FAILURE() << "the planted graph elaborated";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("BTH100"), std::string::npos)
+            << e.what();
+    }
     plantMissingPushWake(0);
 }
 
@@ -317,30 +282,11 @@ TEST(SocAnalysis, StaticAndDynamicCatchesPairUp)
 
     c.plantLostWake = 0;
     c.plantWakeViolation = 1;
-    lint::DiagnosticReport static_rep;
-    {
-        analysis::ScopedDeferGraphValidation defer;
-        plantMissingPushWake(c.plantWakeViolation);
-        const verify::FuzzPlatform platform(c.platform);
-        const AcceleratorSoc soc(verify::buildAcceleratorConfig(c),
-                                 platform);
-        plantMissingPushWake(0);
-        static_rep = soc.analyzeGraph();
-    }
-    EXPECT_TRUE(static_rep.has("BTH100"));
-}
-
-// --- Registry ------------------------------------------------------
-
-TEST(ShardReport, EveryAnalyzerCodeIsRegisteredWithStableLayer)
-{
-    for (const char *code :
-         {"BTH100", "BTH101", "BTH102", "BTH103", "BTH104", "BTH105",
-          "BTH106"}) {
-        const auto *info = lint::findDiagnosticCode(code);
-        ASSERT_NE(info, nullptr) << code;
-        EXPECT_EQ(std::string(info->layer), "graph") << code;
-    }
+    const verify::FuzzResult static_catch =
+        verify::runFuzzCase(c, verify::FuzzOptions{});
+    EXPECT_EQ(static_catch.kind, verify::FailKind::BuildError);
+    EXPECT_NE(static_catch.message.find("BTH100"), std::string::npos)
+        << static_catch.message;
 }
 
 } // namespace

@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests for the AXI protocol checkers themselves: the post-hoc
- * checkAxiProtocol and the live LiveAxiChecker must catch each class
- * of violation (fabricated illegal streams) and accept legal ones.
+ * Tests for the AXI protocol checker itself, fed event by event
+ * (LiveAxiChecker) and over a recorded stream (checkAxiProtocol): it
+ * must catch each class of violation (fabricated illegal streams) and
+ * accept legal ones.
  */
 
 #include <gtest/gtest.h>
 
 #include "axi/timeline.h"
-#include "verify/invariants.h"
 
 namespace beethoven
 {

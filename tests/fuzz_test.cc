@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "verify/fuzz.h"
 #include "verify/random_soc.h"
 #include "verify/traffic.h"
@@ -90,6 +92,40 @@ TEST(FuzzHarness, MalformedJsonRejected)
     EXPECT_THROW(fuzzCaseFromJson("not json"), ConfigError);
     EXPECT_THROW(fuzzCaseFromJson("{}"), ConfigError);
     EXPECT_THROW(loadReproFile("/nonexistent/repro.json"), ConfigError);
+
+    // A value out of its key's domain is an error naming the key, never
+    // a silent wrap, truncation or default.
+    const std::string good = fuzzCaseToJson(tinyCase(FuzzKind::VecAdd));
+    ASSERT_NO_THROW(fuzzCaseFromJson(good));
+    // {key, its value in `good`, a value outside the key's domain}
+    const struct
+    {
+        const char *key, *was, *bad;
+    } cases[] = {
+        {"n_cores", "1", "4294967297"},
+        {"n_cores", "1", "2.9"},
+        {"n_cores", "1", "-1"},
+        {"seed", "\"5\"", "\"banana\""},
+        {"data_seed", "\"99\"", "\"99x\""},
+        {"plant_lint_violation", "false", "0"},
+        {"plant_power_violation", "false", "\"no\""},
+        {"plant_lost_wake", "\"0\"", "7"},
+        {"plant_wake_violation", "\"0\"", "\"-1\""},
+    };
+    for (const auto &c : cases) {
+        const std::string key = "\"" + std::string(c.key) + "\": ";
+        std::string json = good;
+        const std::size_t at = json.find(key + c.was);
+        ASSERT_NE(at, std::string::npos) << key << c.was;
+        json.replace(at, key.size() + std::strlen(c.was), key + c.bad);
+        try {
+            fuzzCaseFromJson(json);
+            ADD_FAILURE() << key << c.bad << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(FuzzHarness, PlantedViolationCaughtShrunkAndReplayed)

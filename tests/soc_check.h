@@ -1,20 +1,14 @@
 /**
  * @file
  * Shared end-to-end checking harness for tests that elaborate a full
- * AcceleratorSoc: arms the live SocInvariants observers and AXI
- * timeline recording for the duration of the test, and finish()
- * replays the recorded timeline through the post-hoc checkAxiProtocol
- * in addition to the final quiescence check. Live and post-hoc
- * checkers are independent implementations, so each cross-checks the
- * other.
+ * AcceleratorSoc: arms the live SocInvariants observers for the
+ * duration of the test, and finish() adds the end-state quiescence
+ * check. The AXI protocol is checked as each beat is recorded.
  */
 
 #ifndef BEETHOVEN_TESTS_SOC_CHECK_H
 #define BEETHOVEN_TESTS_SOC_CHECK_H
 
-#include <gtest/gtest.h>
-
-#include "axi/timeline.h"
 #include "core/soc.h"
 #include "verify/invariants.h"
 
@@ -24,28 +18,16 @@ namespace beethoven
 class ScopedSocCheck
 {
   public:
-    explicit ScopedSocCheck(AcceleratorSoc &soc) : _soc(soc), _inv(soc)
-    {
-        _soc.dram().timeline().setEnabled(true);
-    }
+    explicit ScopedSocCheck(AcceleratorSoc &soc) : _inv(soc) {}
 
     /**
      * Call once all responses have been collected. Any invariant
      * violation during the run has already thrown; this adds the
-     * post-hoc timeline replay and end-state quiescence.
+     * end-state quiescence check.
      */
-    void
-    finish()
-    {
-        EXPECT_EQ("", checkAxiProtocol(_soc.dram().timeline().events()))
-            << "post-hoc AXI protocol replay failed";
-        _inv.checkFinal();
-    }
-
-    const SocInvariants &invariants() const { return _inv; }
+    void finish() { _inv.checkFinal(); }
 
   private:
-    AcceleratorSoc &_soc;
     SocInvariants _inv;
 };
 

@@ -3,9 +3,10 @@
  * soc_analyze — simulation-graph static analyzer CLI (DESIGN.md §5d).
  *
  * Where soc_lint checks the *configuration* before elaboration, this
- * tool elaborates the SoC (without running a single cycle), lowers the
- * simulator's registration record to the SimGraph IR, and proves the
- * event kernel's wake/sleep contract and livelock freedom (BTH10x).
+ * tool elaborates the SoC (without running a single cycle) and reports
+ * what the graph rules find in the simulator's own registration
+ * record: the event kernel's wake/sleep contract (BTH10x). A graph the
+ * constructor's gate rejects is rendered from the report it threw.
  *
  * Usage:
  *   soc_analyze [--json] [--werror] [--list-codes] CASE.json
@@ -25,10 +26,10 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "accel/machsuite/gemm.h"
 #include "accel/memcpy_core.h"
-#include "analysis/analyze.h"
 #include "base/log.h"
 #include "core/soc.h"
 #include "lint/diagnostic.h"
@@ -66,13 +67,19 @@ usage(std::ostream &os)
           "planted bug must surface as BTH100.\n";
 }
 
+bool
+graphLayer(const lint::DiagnosticCodeInfo &info)
+{
+    return std::string_view(info.layer) == "graph";
+}
+
 void
 listCodes(std::ostream &os)
 {
     // Only the analyzer's own layer; soc_lint --list-codes prints the
     // composition layers.
     for (const auto &info : lint::diagnosticRegistry()) {
-        if (std::string(info.layer) != "graph")
+        if (!graphLayer(info))
             continue;
         os << info.code << "  " << lint::severityName(info.severity)
            << "  [" << info.layer << "] " << info.summary << "\n";
@@ -123,14 +130,10 @@ main(int argc, char **argv)
         return 3;
     }
 
-    // Elaborate with constructor-tail validation deferred: this tool
-    // wants the full DiagnosticReport (and must survive deliberately
-    // planted violations), not the constructor's fatal().
-    analysis::ScopedDeferGraphValidation defer;
-
     std::optional<FuzzPlatform> fuzz_platform;
     std::optional<AwsF1Platform> aws_platform;
     std::optional<AcceleratorSoc> soc;
+    lint::DiagnosticReport report;
     std::string label = path.empty() ? "--preset=" + preset : path;
     try {
         if (!preset.empty()) {
@@ -156,13 +159,20 @@ main(int argc, char **argv)
             soc.emplace(buildAcceleratorConfig(c), *fuzz_platform);
             plantMissingPushWake(0);
         }
+        report = soc->analyzeGraph();
     } catch (const ConfigError &e) {
         plantMissingPushWake(0);
-        std::cerr << "soc_analyze: " << e.what() << "\n";
-        return 3;
+        // The graph gate's report is this tool's output; anything else
+        // (the linter's rejection included) is bad input.
+        const auto *gate = dynamic_cast<const lint::DiagnosticError *>(&e);
+        if (gate == nullptr ||
+            !graphLayer(*lint::findDiagnosticCode(
+                gate->report().diagnostics().front().code))) {
+            std::cerr << "soc_analyze: " << e.what() << "\n";
+            return 3;
+        }
+        report = gate->report();
     }
-
-    const lint::DiagnosticReport report = soc->analyzeGraph();
 
     if (as_json) {
         std::cout << "{\n\"report\": " << report.toJson() << "}\n";

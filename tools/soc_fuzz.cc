@@ -16,14 +16,17 @@
  *            [--plant-lost-wake=N] [--plant-wake-violation=N]
  *            [--replay=PATH] [--verbose]
  *
- * Every sampled case is cross-checked against the composition linter
- * (src/lint/) before it runs, and its elaborated simulation graph
- * against the static analyzer (src/analysis/); a sampled case with
- * error-severity findings means the sampler and a checker disagree and
- * is itself a failure.
+ * Each case is elaborated once. The AcceleratorSoc constructor runs
+ * the composition linter (src/lint/) and the graph analyzer
+ * (src/analysis/), so a sampled case either of them rejects comes back
+ * as a build-error failure: the sampler and a checker disagree. The
+ * planted self-tests require that build error to name the planted
+ * code: BTH003 for --plant-lint-violation, BTH100 for
+ * --plant-wake-violation.
  *
  * Exit codes: 0 all iterations clean, 3 a failure was found (repro
- * written if --repro-out), 2 usage or IO error.
+ * written if --repro-out), 2 usage or IO error, or a planted
+ * violation that was not caught.
  */
 
 #include <cstdlib>
@@ -31,12 +34,8 @@
 #include <optional>
 #include <string>
 
-#include "analysis/analyze.h"
 #include "base/decimal.h"
 #include "base/log.h"
-#include "core/soc.h"
-#include "lint/lint.h"
-#include "sim/graph_record.h"
 #include "verify/fuzz.h"
 #include "verify/traffic.h"
 
@@ -214,6 +213,14 @@ main(int argc, char **argv)
         return r.kind == FailKind::None ? 0 : 3;
     }
 
+    // A plant must come back as a build error that names its code. The
+    // lint gate runs first, so with both plants armed only it can fire.
+    const char *planted = nullptr;
+    if (plant_lint)
+        planted = "BTH003";
+    else if (plant_wake_violation != 0)
+        planted = "BTH100";
+
     u64 total_cycles = 0, total_axi = 0, total_resps = 0;
     for (u64 it = 0; it < iterations; ++it) {
         const u64 case_seed = seed + it;
@@ -227,71 +234,6 @@ main(int argc, char **argv)
         c.plantLostWake = plant_lost_wake;
         c.plantWakeViolation = plant_wake_violation;
 
-        // Cross-check the sampler against the composition linter:
-        // every sampled case must be lint-clean (no error-severity
-        // findings). A finding here is a bug in RandomSocBuilder or a
-        // lint rule drifting from what elaboration accepts.
-        {
-            const lint::DiagnosticReport lint_rep =
-                lint::lintComposition(buildAcceleratorConfig(c),
-                                      FuzzPlatform(c.platform));
-            if (!plant_lint && lint_rep.hasErrors()) {
-                std::cerr << "soc_fuzz: sampled case (seed " << case_seed
-                          << ") is not lint-clean:\n"
-                          << lint_rep.format();
-                return 3;
-            }
-            if (plant_lint && !lint_rep.hasErrors()) {
-                std::cerr << "soc_fuzz: planted lint violation was not "
-                             "caught (seed "
-                          << case_seed << ")\n";
-                return 2;
-            }
-        }
-
-        // Cross-check elaboration against the static analyzer: every
-        // sampled case's simulation graph must be analyze-clean, and a
-        // planted wake violation must surface as BTH100 — without
-        // running a single cycle. Skipped when the linter already
-        // rejects the case (nothing elaborable to analyze).
-        if (!plant_lint) {
-            analysis::ScopedDeferGraphValidation defer;
-            lint::DiagnosticReport graph_rep;
-            try {
-                if (c.plantWakeViolation != 0)
-                    plantMissingPushWake(c.plantWakeViolation);
-                const FuzzPlatform platform(c.platform);
-                const AcceleratorSoc soc(buildAcceleratorConfig(c),
-                                         platform);
-                plantMissingPushWake(0);
-                graph_rep = soc.analyzeGraph();
-            } catch (const ConfigError &e) {
-                plantMissingPushWake(0);
-                std::cerr << "soc_fuzz: sampled case (seed "
-                          << case_seed
-                          << ") failed to elaborate for analysis: "
-                          << e.what() << "\n";
-                return 3;
-            }
-            if (plant_wake_violation == 0 && graph_rep.hasErrors()) {
-                std::cerr << "soc_fuzz: sampled case (seed " << case_seed
-                          << ") is not analyze-clean:\n"
-                          << graph_rep.format();
-                return 3;
-            }
-            if (plant_wake_violation != 0 &&
-                !graph_rep.has("BTH100")) {
-                std::cerr << "soc_fuzz: planted wake violation was not "
-                             "caught statically (seed "
-                          << case_seed << ")\n";
-                return 2;
-            }
-            // With the plant armed the case still falls through to the
-            // run below, where the constructor-tail validation rejects
-            // it (BuildError -> exit 3) — the same double-catch
-            // contract as --plant-lint-violation.
-        }
-
         const FuzzResult r = runFuzzCase(c, opt);
         total_cycles += r.cycles;
         total_axi += r.axiEvents;
@@ -302,6 +244,15 @@ main(int argc, char **argv)
                       << c.ops.size() << " ops -> "
                       << failKindName(r.kind) << " in " << r.cycles
                       << " cycles\n";
+        }
+        if (planted != nullptr &&
+            (r.kind != FailKind::BuildError ||
+             r.message.find(planted) == std::string::npos)) {
+            std::cerr << "soc_fuzz: planted "
+                      << (plant_lint ? "lint" : "wake")
+                      << " violation was not caught (seed " << case_seed
+                      << ")\n";
+            return 2;
         }
         if (r.kind == FailKind::None)
             continue;

@@ -1,10 +1,17 @@
-# Run a bench and require its --stats-json output to hash to a
-# committed SHA-256 (tests/golden/*.sha256). The digest pins simulated
-# behaviour across commits: any change to cycle counts, stall
-# attribution or traffic statistics changes the hash. Usage:
+# Run a bench and require its output to hash to a committed SHA-256
+# (tests/golden/*.sha256). By default the hashed output is the bench's
+# --stats-json file: the digest pins simulated behaviour across commits,
+# so any change to cycle counts, stall attribution or traffic
+# statistics changes the hash. With -DSTDOUT=ON the command's stdout is
+# written to OUT and hashed instead, which pins what a bench prints
+# when it runs no cycles (placement, memory mapping, resource tables).
+# Usage:
 #
 #   cmake "-DCMD=fig4_memcpy --quick" -DOUT=path/stats.json
 #         -DGOLDEN=tests/golden/fig4_memcpy_quick.sha256
+#         -P check_golden.cmake
+#   cmake -DCMD=table2_resources -DOUT=path/stdout.txt -DSTDOUT=ON
+#         -DGOLDEN=tests/golden/table2_resources_stdout.sha256
 #         -P check_golden.cmake
 
 if(NOT DEFINED CMD OR NOT DEFINED OUT OR NOT DEFINED GOLDEN)
@@ -13,12 +20,21 @@ if(NOT DEFINED CMD OR NOT DEFINED OUT OR NOT DEFINED GOLDEN)
 endif()
 
 separate_arguments(cmd_list UNIX_COMMAND "${CMD}")
-execute_process(COMMAND ${cmd_list} --stats-json=${OUT}
-    RESULT_VARIABLE rc
-    OUTPUT_QUIET
-    ERROR_VARIABLE err)
+if(STDOUT)
+    set(run "${CMD} > ${OUT}")
+    execute_process(COMMAND ${cmd_list}
+        RESULT_VARIABLE rc
+        OUTPUT_FILE ${OUT}
+        ERROR_VARIABLE err)
+else()
+    set(run "${CMD} --stats-json=${OUT}")
+    execute_process(COMMAND ${cmd_list} --stats-json=${OUT}
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET
+        ERROR_VARIABLE err)
+endif()
 if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "command [${CMD} --stats-json=${OUT}] exited "
+    message(FATAL_ERROR "command [${run}] exited "
         "with '${rc}'\nstderr:\n${err}")
 endif()
 
@@ -28,10 +44,10 @@ string(STRIP "${golden}" golden)
 
 if(NOT actual STREQUAL golden)
     message(FATAL_ERROR
-        "stats digest differs from the committed golden value\n"
+        "output digest differs from the committed golden value\n"
         "  golden: ${golden}  (${GOLDEN})\n"
         "  actual: ${actual}  (${OUT})\n"
         "If the behaviour change is intended, regenerate with:\n"
-        "  ${CMD} --stats-json=${OUT} && "
+        "  ${run} && "
         "sha256sum ${OUT} | cut -d' ' -f1 > ${GOLDEN}")
 endif()

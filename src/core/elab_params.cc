@@ -7,43 +7,35 @@
 namespace beethoven
 {
 
-ReaderParams
-resolveReaderParams(const ReadChannelConfig &cfg,
-                    const Platform &platform)
+StreamParams
+spadInitStreamParams(const ScratchpadConfig &cfg, const Platform &platform)
 {
-    ReaderParams p;
-    p.dataBytes = cfg.dataBytes;
-    p.burstBeats =
-        cfg.burstBeats ? cfg.burstBeats : platform.defaultBurstBeats();
-    p.maxInflight =
-        cfg.maxInflight ? cfg.maxInflight : platform.defaultMaxInflight();
-    p.useTlp = cfg.useTlp;
+    ReadChannelConfig init;
+    init.dataBytes = (cfg.dataWidthBits + 7) / 8;
+    return resolveStreamParams(init, platform);
+}
+
+ScratchpadParams
+scratchpadParams(const ScratchpadConfig &cfg)
+{
+    ScratchpadParams p;
+    p.dataWidthBits = cfg.dataWidthBits;
+    p.nDatas = cfg.nDatas;
+    p.nPorts = cfg.nPorts;
+    p.latency = cfg.latency;
+    p.supportsInit = cfg.supportsInit;
     return p;
 }
 
-WriterParams
-resolveWriterParams(const WriteChannelConfig &cfg,
-                    const Platform &platform)
+ScratchpadParams
+scratchpadParams(const IntraCoreMemoryPortInConfig &cfg)
 {
-    WriterParams p;
-    p.dataBytes = cfg.dataBytes;
-    p.burstBeats =
-        cfg.burstBeats ? cfg.burstBeats : platform.defaultBurstBeats();
-    p.maxInflight =
-        cfg.maxInflight ? cfg.maxInflight : platform.defaultMaxInflight();
-    p.useTlp = cfg.useTlp;
-    return p;
-}
-
-ReaderParams
-spadInitReaderParams(const ScratchpadConfig &cfg,
-                     const Platform &platform)
-{
-    ReaderParams p;
-    p.dataBytes = (cfg.dataWidthBits + 7) / 8;
-    p.burstBeats = platform.defaultBurstBeats();
-    p.maxInflight = platform.defaultMaxInflight();
-    p.useTlp = true;
+    ScratchpadParams p;
+    p.dataWidthBits = cfg.dataWidthBits;
+    p.nDatas = cfg.nDatas;
+    p.nPorts = std::max(1u, cfg.nChannels);
+    p.latency = cfg.latency;
+    p.supportsInit = false;
     return p;
 }
 
@@ -60,36 +52,24 @@ estimateCoreLogic(const AcceleratorSystemConfig &sys,
         est.uram = 0;
     }
     for (const auto &r : sys.readChannels) {
-        est += readerLogicResources(resolveReaderParams(r, platform),
+        est += readerLogicResources(resolveStreamParams(r, platform),
                                     bus) *
                static_cast<double>(r.nChannels);
     }
     for (const auto &w : sys.writeChannels) {
-        est += writerLogicResources(resolveWriterParams(w, platform),
+        est += writerLogicResources(resolveStreamParams(w, platform),
                                     bus) *
                static_cast<double>(w.nChannels);
     }
     for (const auto &sp : sys.scratchpads) {
-        ScratchpadParams p;
-        p.dataWidthBits = sp.dataWidthBits;
-        p.nDatas = sp.nDatas;
-        p.nPorts = sp.nPorts;
-        p.latency = sp.latency;
-        p.supportsInit = sp.supportsInit;
-        est += scratchpadControlResources(p);
+        est += scratchpadControlResources(scratchpadParams(sp));
         if (sp.supportsInit) {
             est += readerLogicResources(
-                spadInitReaderParams(sp, platform), bus);
+                spadInitStreamParams(sp, platform), bus);
         }
     }
-    for (const auto &pin : sys.intraMemoryIns) {
-        ScratchpadParams p;
-        p.dataWidthBits = pin.dataWidthBits;
-        p.nDatas = pin.nDatas;
-        p.nPorts = std::max(1u, pin.nChannels);
-        p.supportsInit = false;
-        est += scratchpadControlResources(p);
-    }
+    for (const auto &pin : sys.intraMemoryIns)
+        est += scratchpadControlResources(scratchpadParams(pin));
     return est;
 }
 

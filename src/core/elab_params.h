@@ -18,17 +18,34 @@
 namespace beethoven
 {
 
-/** Resolve a ReadChannelConfig's knobs against platform defaults. */
-ReaderParams resolveReaderParams(const ReadChannelConfig &cfg,
-                                 const Platform &platform);
+/**
+ * Resolve a ReadChannelConfig's or WriteChannelConfig's knobs (the two
+ * declare the same ones) against the platform defaults.
+ */
+template <typename ChannelConfig>
+StreamParams
+resolveStreamParams(const ChannelConfig &cfg, const Platform &platform)
+{
+    StreamParams p;
+    p.dataBytes = cfg.dataBytes;
+    p.burstBeats =
+        cfg.burstBeats ? cfg.burstBeats : platform.defaultBurstBeats();
+    p.maxInflight =
+        cfg.maxInflight ? cfg.maxInflight : platform.defaultMaxInflight();
+    p.useTlp = cfg.useTlp;
+    return p;
+}
 
-/** Resolve a WriteChannelConfig's knobs against platform defaults. */
-WriterParams resolveWriterParams(const WriteChannelConfig &cfg,
-                                 const Platform &platform);
-
-/** Parameters of the hidden init Reader behind a scratchpad. */
-ReaderParams spadInitReaderParams(const ScratchpadConfig &cfg,
+/**
+ * The hidden init Reader behind a scratchpad: a read channel one row
+ * wide with every other knob at its default.
+ */
+StreamParams spadInitStreamParams(const ScratchpadConfig &cfg,
                                   const Platform &platform);
+
+/** Geometry of a scratchpad, or of an intra-core port's inbox. */
+ScratchpadParams scratchpadParams(const ScratchpadConfig &cfg);
+ScratchpadParams scratchpadParams(const IntraCoreMemoryPortInConfig &cfg);
 
 /**
  * Per-core Beethoven-generated + kernel logic estimate for one system

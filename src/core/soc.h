@@ -45,6 +45,7 @@ namespace beethoven
 {
 
 class PowerLedger;
+struct MemoryRequest;
 
 /** Where one logical on-chip memory ended up (Table II evidence). */
 struct MemoryMappingRecord
@@ -141,8 +142,6 @@ class AcceleratorSoc
     lint::DiagnosticReport analyzeGraph() const;
 
   private:
-    struct SystemInstance;
-
     void validate();
     void placeCores();
     void buildMemoryFabric();
@@ -153,6 +152,15 @@ class AcceleratorSoc
     void checkFit() const;
     void registerObservers();
     void buildPowerLedger();
+
+    /** Map one on-chip memory of flat core @p core (80 % spill rule). */
+    void mapMemory(std::size_t core, const std::string &owner,
+                   const char *role, const MemoryRequest &req);
+    /** Build, register and map a scratchpad of flat core @p core. */
+    void addScratchpad(std::size_t core, const std::string &name,
+                       const ScratchpadParams &params, Reader *init);
+    /** Each SLR's share of the cores; the interconnect splits by it. */
+    std::vector<double> slrCoreShares() const;
 
     /**
      * Call @p fn(track, tree) for each memory-fabric and command-fabric
@@ -183,8 +191,10 @@ class AcceleratorSoc
     std::unique_ptr<DramController> _dram;
     std::unique_ptr<MmioCommandSystem> _mmio;
 
-    // Placement results: per system, per core, the SLR index.
-    std::vector<std::vector<unsigned>> _coreSlr;
+    // The flat core table (placeCores): system s owns cores
+    // _systemBase[s] up to _systemBase[s + 1]; _coreSlr is per core.
+    std::vector<std::size_t> _systemBase;
+    std::vector<unsigned> _coreSlr;
 
     // Memory fabric.
     std::unique_ptr<MuxTree<ReadRequest>> _arTree;
@@ -216,27 +226,9 @@ class AcceleratorSoc
     std::vector<MemoryMappingRecord> _memoryMappings;
     ResourceVec _interconnectResources;
 
-    // Endpoint bookkeeping built during fabric construction.
-    struct MemEndpointPlan
-    {
-        bool isWriter = false;
-        std::string system;
-        u32 core = 0;
-        std::string channel;
-        u32 channelIdx = 0;
-        bool isSpadInit = false;
-        unsigned slr = 0;
-        ReaderParams readerParams;
-        WriterParams writerParams;
-        u32 idBase = 0;
-    };
-    std::vector<MemEndpointPlan> _readPlans;
-    std::vector<MemEndpointPlan> _writePlans;
-
-    // AXI ID-space consumed by the allocation above (for invariants).
+    // AXI ID-space allocated to the fabric's endpoints (invariants).
     u32 _readIdsInUse = 0;
     u32 _writeIdsInUse = 0;
-
 };
 
 } // namespace beethoven

@@ -35,59 +35,33 @@ buildCompositionModel(const AcceleratorConfig &config,
     for (std::size_t s = 0; s < config.systems.size(); ++s) {
         const AcceleratorSystemConfig &sys = config.systems[s];
         for (const auto &rc : sys.readChannels) {
-            const ReaderParams p = resolveReaderParams(rc, platform);
-            ResolvedStream st;
-            st.systemIdx = s;
-            st.channel = rc.name;
-            st.endpoints = u64(rc.nChannels) * sys.nCores;
-            st.dataBytes = p.dataBytes;
-            st.burstBeats = p.burstBeats;
-            st.maxInflight = p.maxInflight;
-            st.useTlp = p.useTlp;
-            st.idsPerEndpoint = p.useTlp ? p.maxInflight : 1;
-            m.streams.push_back(std::move(st));
+            m.streams.push_back({false, false, s, rc.name,
+                                 u64(rc.nChannels) * sys.nCores,
+                                 resolveStreamParams(rc, platform)});
         }
         for (const auto &sp : sys.scratchpads) {
-            if (!sp.supportsInit)
-                continue;
-            const ReaderParams p = spadInitReaderParams(sp, platform);
-            ResolvedStream st;
-            st.isSpadInit = true;
-            st.systemIdx = s;
-            st.channel = sp.name;
-            st.endpoints = sys.nCores;
-            st.dataBytes = p.dataBytes;
-            st.burstBeats = p.burstBeats;
-            st.maxInflight = p.maxInflight;
-            st.useTlp = p.useTlp;
-            st.idsPerEndpoint = p.useTlp ? p.maxInflight : 1;
-            m.streams.push_back(std::move(st));
+            if (sp.supportsInit) {
+                m.streams.push_back({false, true, s, sp.name, sys.nCores,
+                                     spadInitStreamParams(sp, platform)});
+            }
         }
         for (const auto &wc : sys.writeChannels) {
-            const WriterParams p = resolveWriterParams(wc, platform);
-            ResolvedStream st;
-            st.isWriter = true;
-            st.systemIdx = s;
-            st.channel = wc.name;
-            st.endpoints = u64(wc.nChannels) * sys.nCores;
-            st.dataBytes = p.dataBytes;
-            st.burstBeats = p.burstBeats;
-            st.maxInflight = p.maxInflight;
-            st.useTlp = p.useTlp;
-            st.idsPerEndpoint = p.useTlp ? p.maxInflight : 1;
-            m.streams.push_back(std::move(st));
+            m.streams.push_back({true, false, s, wc.name,
+                                 u64(wc.nChannels) * sys.nCores,
+                                 resolveStreamParams(wc, platform)});
         }
         m.systemCoreLogic.push_back(
             estimateCoreLogic(sys, platform, m.bus));
     }
 
     for (const ResolvedStream &st : m.streams) {
+        const u64 ids = st.endpoints * st.params.numIds();
         if (st.isWriter) {
             m.writeEndpoints += st.endpoints;
-            m.writeIdsRequired += st.endpoints * st.idsPerEndpoint;
+            m.writeIdsRequired += ids;
         } else {
             m.readEndpoints += st.endpoints;
-            m.readIdsRequired += st.endpoints * st.idsPerEndpoint;
+            m.readIdsRequired += ids;
         }
     }
     return m;

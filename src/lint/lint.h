@@ -45,12 +45,8 @@ struct ResolvedStream
     bool isSpadInit = false;
     std::size_t systemIdx = 0;
     std::string channel;
-    u64 endpoints = 0;      ///< total endpoint count across cores
-    unsigned dataBytes = 0; ///< core-facing port width
-    unsigned burstBeats = 0;
-    unsigned maxInflight = 0;
-    bool useTlp = true;
-    u64 idsPerEndpoint = 0; ///< AXI IDs one endpoint occupies
+    u64 endpoints = 0; ///< total endpoint count across cores
+    StreamParams params;
 };
 
 /**

@@ -67,10 +67,11 @@ void
 ruleInflightWithoutTlp(const CompositionModel &m, DiagnosticReport &rep)
 {
     for (const ResolvedStream &st : m.streams) {
-        if (!st.useTlp && st.maxInflight > 1) {
+        if (!st.params.useTlp && st.params.maxInflight > 1) {
             rep.add("BTH032",
                     systemPath(m, st.systemIdx) + "." + st.channel,
-                    "maxInflight=" + std::to_string(st.maxInflight) +
+                    "maxInflight=" +
+                        std::to_string(st.params.maxInflight) +
                         " with TLP disabled: all transactions share "
                         "one AXI ID and complete in order")
                 .fixit = "enable useTlp to claim distinct IDs, or "

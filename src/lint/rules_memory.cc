@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "base/log.h"
+#include "core/elab_params.h"
 #include "lint/lint.h"
 #include "mem/resource_model.h"
 
@@ -28,7 +29,7 @@ void
 ruleWidthConvertibility(const CompositionModel &m, DiagnosticReport &rep)
 {
     for (const ResolvedStream &st : m.streams) {
-        if (st.dataBytes == 0) {
+        if (st.params.dataBytes == 0) {
             rep.add("BTH020", streamPath(m, st),
                     "channel declares a zero-byte data width");
             continue;
@@ -37,11 +38,11 @@ ruleWidthConvertibility(const CompositionModel &m, DiagnosticReport &rep)
         // that requires an integral ratio in one direction. A 64-byte
         // channel on a 16-byte bus is fine (4 bus beats per channel
         // beat) — a 24-byte channel on a 16-byte bus is not.
-        const unsigned wide = std::max(st.dataBytes, m.bus.dataBytes);
-        const unsigned narrow = std::min(st.dataBytes, m.bus.dataBytes);
+        const unsigned wide = std::max(st.params.dataBytes, m.bus.dataBytes);
+        const unsigned narrow = std::min(st.params.dataBytes, m.bus.dataBytes);
         if (narrow == 0 || wide % narrow != 0) {
             rep.add("BTH020", streamPath(m, st),
-                    "channel width of " + std::to_string(st.dataBytes) +
+                    "channel width of " + std::to_string(st.params.dataBytes) +
                         " bytes is not convertible to the " +
                         std::to_string(m.bus.dataBytes) +
                         "-byte DRAM bus")
@@ -85,12 +86,12 @@ void
 ruleBurstLimit(const CompositionModel &m, DiagnosticReport &rep)
 {
     for (const ResolvedStream &st : m.streams) {
-        if (st.burstBeats == 0) {
+        if (st.params.burstBeats == 0) {
             rep.add("BTH023", streamPath(m, st),
                     "resolved burst length of zero beats");
-        } else if (st.burstBeats > m.bus.maxBurstBeats) {
+        } else if (st.params.burstBeats > m.bus.maxBurstBeats) {
             rep.add("BTH023", streamPath(m, st),
-                    "burst of " + std::to_string(st.burstBeats) +
+                    "burst of " + std::to_string(st.params.burstBeats) +
                         " beats exceeds the bus limit of " +
                         std::to_string(m.bus.maxBurstBeats))
                 .fixit = "lower burstBeats or leave it zero to take "
@@ -171,25 +172,17 @@ ruleScratchpadCapacity(const CompositionModel &m, DiagnosticReport &rep)
         for (const auto &sp : sys.scratchpads)
             account(sp.name, sp.dataWidthBits, sp.nDatas, sp.nPorts);
         for (const auto &pin : sys.intraMemoryIns) {
-            account(pin.name, pin.dataWidthBits, pin.nDatas,
-                    std::max(1u, pin.nChannels));
+            const ScratchpadParams p = scratchpadParams(pin);
+            account(pin.name, p.dataWidthBits, p.nDatas, p.nPorts);
         }
         for (const ResolvedStream &st : m.streams) {
-            if (st.systemIdx != s || st.dataBytes == 0 ||
-                st.burstBeats == 0 || st.burstBeats > m.bus.maxBurstBeats)
+            const StreamParams &p = st.params;
+            if (st.systemIdx != s || p.dataBytes == 0 ||
+                p.burstBeats == 0 || p.burstBeats > m.bus.maxBurstBeats)
                 continue; // skip streams BTH020/BTH023 already flagged
-            ReaderParams rp;
-            rp.dataBytes = st.dataBytes;
-            rp.burstBeats = st.burstBeats;
-            rp.maxInflight = st.maxInflight;
-            rp.useTlp = st.useTlp;
             const MemoryRequest req =
-                st.isWriter ? writerBufferRequest(
-                                  WriterParams{rp.dataBytes,
-                                               rp.burstBeats,
-                                               rp.maxInflight, rp.useTlp},
-                                  m.bus)
-                            : readerBufferRequest(rp, m.bus);
+                st.isWriter ? writerBufferRequest(p, m.bus)
+                            : readerBufferRequest(p, m.bus);
             account(st.channel + (st.isWriter ? " stage buffer"
                                               : " prefetch buffer"),
                     req.widthBits, req.depth, req.readPorts);

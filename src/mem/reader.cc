@@ -130,10 +130,7 @@ Reader::issueRequests()
         return false;
 
     ReadRequest req;
-    req.id = _idBase +
-             static_cast<u32>(_params.useTlp
-                                  ? _txnSeq % _params.maxInflight
-                                  : 0);
+    req.id = _idBase + static_cast<u32>(_txnSeq % _params.numIds());
     req.addr = beat_addr;
     req.beats = beats;
     req.tag = sim().nextTag();

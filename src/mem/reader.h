@@ -31,13 +31,9 @@
 namespace beethoven
 {
 
-/** User-visible Reader parameters (the ReadChannelConfig knobs). */
-struct ReaderParams
+/** Reader parameters: the ReadChannelConfig knobs plus queue depths. */
+struct ReaderParams : StreamParams
 {
-    unsigned dataBytes = 4;   ///< core-facing port width
-    unsigned burstBeats = 64; ///< AXI beats per transaction
-    unsigned maxInflight = 4; ///< concurrent outstanding transactions
-    bool useTlp = true;       ///< distinct AXI IDs per transaction
     std::size_t cmdQueueDepth = 2;
     std::size_t dataQueueDepth = 8; ///< port-side word queue
 };
@@ -63,9 +59,6 @@ class Reader : public Module
     bool idle() const;
 
     const ReaderParams &params() const { return _params; }
-
-    /** Number of AXI IDs this reader occupies. */
-    u32 numIds() const { return _params.useTlp ? _params.maxInflight : 1; }
 
     /** Cumulative stream bytes delivered to the core. */
     double bytesRead() const { return _statBytesRead->value(); }

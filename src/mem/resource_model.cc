@@ -21,7 +21,7 @@ fromLogic(double lut, double ff)
 } // namespace
 
 ResourceVec
-readerLogicResources(const ReaderParams &params, const AxiConfig &bus)
+readerLogicResources(const StreamParams &params, const AxiConfig &bus)
 {
     // AR generation + reorder tracking + width conversion. Width
     // conversion dominates when the port is wide; tracking grows with
@@ -34,7 +34,7 @@ readerLogicResources(const ReaderParams &params, const AxiConfig &bus)
 }
 
 MemoryRequest
-readerBufferRequest(const ReaderParams &params, const AxiConfig &bus)
+readerBufferRequest(const StreamParams &params, const AxiConfig &bus)
 {
     MemoryRequest req;
     req.widthBits = bus.dataBytes * 8;
@@ -44,7 +44,7 @@ readerBufferRequest(const ReaderParams &params, const AxiConfig &bus)
 }
 
 ResourceVec
-writerLogicResources(const WriterParams &params, const AxiConfig &bus)
+writerLogicResources(const StreamParams &params, const AxiConfig &bus)
 {
     const double conv = 6.0 * (params.dataBytes + bus.dataBytes);
     const double track = 140.0 * params.maxInflight;
@@ -54,7 +54,7 @@ writerLogicResources(const WriterParams &params, const AxiConfig &bus)
 }
 
 MemoryRequest
-writerBufferRequest(const WriterParams &params, const AxiConfig &bus)
+writerBufferRequest(const StreamParams &params, const AxiConfig &bus)
 {
     MemoryRequest req;
     req.widthBits = bus.dataBytes * 8;

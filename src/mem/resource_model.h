@@ -24,7 +24,7 @@ namespace beethoven
 {
 
 /** Control/datapath logic of a Reader (excluding its prefetch RAM). */
-ResourceVec readerLogicResources(const ReaderParams &params,
+ResourceVec readerLogicResources(const StreamParams &params,
                                  const AxiConfig &bus);
 
 /** Prefetch buffer geometry of a Reader (for the memory compiler). */
@@ -34,13 +34,13 @@ struct MemoryRequest
     unsigned depth = 0;
     unsigned readPorts = 1;
 };
-MemoryRequest readerBufferRequest(const ReaderParams &params,
+MemoryRequest readerBufferRequest(const StreamParams &params,
                                   const AxiConfig &bus);
 
 /** Control/datapath logic of a Writer (excluding its stage RAM). */
-ResourceVec writerLogicResources(const WriterParams &params,
+ResourceVec writerLogicResources(const StreamParams &params,
                                  const AxiConfig &bus);
-MemoryRequest writerBufferRequest(const WriterParams &params,
+MemoryRequest writerBufferRequest(const StreamParams &params,
                                   const AxiConfig &bus);
 
 /** Port muxing / init sequencing around a Scratchpad's cells. */

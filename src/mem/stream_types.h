@@ -13,6 +13,21 @@ namespace beethoven
 {
 
 /**
+ * The knobs a Reader and a Writer share (a Read/WriteChannelConfig
+ * with its platform defaults applied, core/elab_params.h).
+ */
+struct StreamParams
+{
+    unsigned dataBytes = 4;   ///< core-facing port width
+    unsigned burstBeats = 64; ///< AXI beats per transaction
+    unsigned maxInflight = 4; ///< concurrent outstanding transactions
+    bool useTlp = true;       ///< distinct AXI IDs per transaction
+
+    /** AXI IDs one endpoint occupies. */
+    u32 numIds() const { return useTlp ? maxInflight : 1; }
+};
+
+/**
  * A stream request issued by an accelerator core to a Reader/Writer:
  * "stream lenBytes starting at addr". Mirrors the RequestChannel of
  * the paper's getReaderModule()/getWriterModule() accessors.

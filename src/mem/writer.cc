@@ -177,9 +177,7 @@ Writer::emitFlits()
         _open.headerSent = false;
         _open.nextBeat = 0;
         _open.header.id =
-            _idBase + static_cast<u32>(_params.useTlp
-                                           ? _txnSeq % _params.maxInflight
-                                           : 0);
+            _idBase + static_cast<u32>(_txnSeq % _params.numIds());
         _open.header.addr = beat_addr;
         _open.header.beats = beats;
         _open.header.tag = sim().nextTag();

@@ -25,13 +25,9 @@
 namespace beethoven
 {
 
-/** User-visible Writer parameters (the WriteChannelConfig knobs). */
-struct WriterParams
+/** Writer parameters: the WriteChannelConfig knobs plus queue depths. */
+struct WriterParams : StreamParams
 {
-    unsigned dataBytes = 4;   ///< core-facing port width
-    unsigned burstBeats = 64; ///< AXI beats per transaction
-    unsigned maxInflight = 4; ///< concurrent outstanding bursts
-    bool useTlp = true;
     std::size_t cmdQueueDepth = 2;
     std::size_t dataQueueDepth = 8;
     std::size_t doneQueueDepth = 2;
@@ -53,7 +49,6 @@ class Writer : public Module
     bool idle() const;
 
     const WriterParams &params() const { return _params; }
-    u32 numIds() const { return _params.useTlp ? _params.maxInflight : 1; }
 
     /** Cumulative stream bytes accepted from the core. */
     double bytesWritten() const { return _statBytesWritten->value(); }

@@ -23,7 +23,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/log.h"
@@ -60,6 +63,8 @@ template <typename F, typename Lock = NoLock<F>>
 class MuxNode : public Module
 {
   public:
+    using Param = Lock;
+
     MuxNode(Simulator &sim, std::string name, TimedQueue<F> *out,
             Lock lock = Lock{})
         : Module(sim, std::move(name)), _out(out), _lock(std::move(lock)),
@@ -70,14 +75,13 @@ class MuxNode : public Module
         _out->setWakeOnPop(this);
     }
 
+    /** Take flits from child link @p in (whatever endpoints it serves). */
     void
-    addInput(TimedQueue<F> *in)
+    attach(TimedQueue<F> *in, std::span<const std::size_t>)
     {
         in->setWakeOnPush(this);
         _inputs.push_back(in);
     }
-
-    std::size_t numInputs() const { return _inputs.size(); }
 
     void
     tick() override
@@ -171,6 +175,7 @@ class DemuxNode : public Module
 {
   public:
     using KeyFn = std::function<std::size_t(const F &)>;
+    using Param = KeyFn;
 
     DemuxNode(Simulator &sim, std::string name, TimedQueue<F> *in,
               KeyFn key)
@@ -182,12 +187,13 @@ class DemuxNode : public Module
         _in->setWakeOnPush(this);
     }
 
-    /** Declare that endpoint @p endpoint is reached through @p out. */
+    /** Declare that @p endpoints are reached through child link @p out. */
     void
-    addRoute(std::size_t endpoint, TimedQueue<F> *out)
+    attach(TimedQueue<F> *out, std::span<const std::size_t> endpoints)
     {
         out->setWakeOnPop(this);
-        _routes[endpoint] = out;
+        for (std::size_t e : endpoints)
+            _routes[e] = out;
     }
 
     void
@@ -271,13 +277,186 @@ struct TreeStats
 };
 
 /**
+ * Depth a link of @p latency cycles needs to carry one flit per cycle,
+ * and never less than @p depth. Crossing buffers are pipelined
+ * register chains: a shallower link throttles bandwidth to
+ * depth / (latency + 1).
+ */
+inline std::size_t
+crossingDepth(std::size_t depth, unsigned latency)
+{
+    return std::max<std::size_t>(depth, latency + 1);
+}
+
+/**
+ * The shape every fabric tree shares: one fanout-bounded subtree per
+ * SLR, joined to a root node by links that model the SLR crossing
+ * where a subtree's SLR is not the root's. A Node is built on its
+ * root-side link and attaches each child link with the endpoints
+ * reached through it; MuxTree and DemuxTree differ only in that node.
+ */
+template <typename F, typename Node>
+class FabricTree
+{
+  public:
+    FabricTree(const FabricTree &) = delete;
+    FabricTree &operator=(const FabricTree &) = delete;
+
+    /** The queue endpoint @p idx pushes into (mux) or pops from (demux). */
+    TimedQueue<F> &
+    endpointPort(std::size_t idx)
+    {
+        beethoven_assert(idx < _endpointQueues.size(),
+                         "endpoint index %zu out of range", idx);
+        return *_endpointQueues[idx];
+    }
+
+    /** Cumulative node-hops forwarded through this tree. */
+    double
+    flits() const
+    {
+        double total = 0.0;
+        for (const auto &n : _nodes)
+            total += n->flits();
+        return total;
+    }
+
+    const TreeStats &stats() const { return _stats; }
+
+    /** Flits currently buffered in the tree's internal links. */
+    std::size_t
+    occupancy() const
+    {
+        std::size_t total = 0;
+        for (const auto &q : _links)
+            total += q->occupancy();
+        return total;
+    }
+
+    /** Visit each internal link as (name, current occupancy). */
+    void
+    visitLinkOccupancy(
+        const std::function<void(const std::string &, std::size_t)> &fn)
+        const
+    {
+        for (std::size_t i = 0; i < _links.size(); ++i)
+            fn(_linkNames[i], _links[i]->occupancy());
+    }
+
+  protected:
+    FabricTree(Simulator &sim, const std::string &name,
+               std::size_t n_endpoints, typename Node::Param param)
+        : _param(std::move(param)), _endpointQueues(n_endpoints),
+          _flits(&sim.stats().groupByPath(name).scalar("flits"))
+    {
+        beethoven_assert(n_endpoints > 0, "tree %s with no endpoints",
+                         name.c_str());
+    }
+
+    /** Build the per-SLR subtrees under a root node on @p root_link. */
+    void
+    build(Simulator &sim, const std::string &name,
+          const std::vector<unsigned> &endpoint_slr, unsigned root_slr,
+          const NocParams &params, TimedQueue<F> *root_link)
+    {
+        // Endpoints in (SLR, index) order: each SLR's group is a run.
+        std::vector<std::size_t> order(endpoint_slr.size());
+        std::iota(order.begin(), order.end(), std::size_t(0));
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return std::pair(endpoint_slr[a], a) <
+                             std::pair(endpoint_slr[b], b);
+                  });
+        Node *root = makeNode(sim, name + ".root", root_link);
+        for (std::size_t lo = 0, hi = 0; lo < order.size(); lo = hi) {
+            const unsigned slr = endpoint_slr[order[lo]];
+            while (hi < order.size() && endpoint_slr[order[hi]] == slr)
+                ++hi;
+            const std::span<const std::size_t> group(&order[lo], hi - lo);
+            const std::string sub = name + ".slr" + std::to_string(slr);
+            const unsigned latency =
+                slr == root_slr ? 1 : params.slrCrossingLatency;
+            TimedQueue<F> *link =
+                makeLink(sim, sub + ".link",
+                         crossingDepth(params.queueDepth, latency), latency);
+            if (slr != root_slr)
+                ++_stats.slrCrossings;
+            root->attach(link, group);
+            buildSubtree(sim, sub, group, params, link);
+        }
+        // Fold node-local counters into the published scalar whenever
+        // stats are emitted; exact because the locals hold integers.
+        sim.addStatFolder([this] { _flits->set(flits()); });
+    }
+
+    TimedQueue<F> *
+    makeLink(Simulator &sim, std::string name, std::size_t depth,
+             unsigned latency)
+    {
+        _links.push_back(
+            std::make_unique<TimedQueue<F>>(sim, depth, latency));
+        _linkNames.push_back(std::move(name));
+        ++_stats.links;
+        return _links.back().get();
+    }
+
+  private:
+    Node *
+    makeNode(Simulator &sim, const std::string &name, TimedQueue<F> *link)
+    {
+        _nodes.push_back(std::make_unique<Node>(sim, name, link, _param));
+        ++_stats.nodes;
+        return _nodes.back().get();
+    }
+
+    /** A fanout-bounded subtree over @p endpoints on @p link. */
+    void
+    buildSubtree(Simulator &sim, const std::string &name,
+                 std::span<const std::size_t> endpoints,
+                 const NocParams &params, TimedQueue<F> *link)
+    {
+        Node *node = makeNode(sim, name, link);
+        if (endpoints.size() <= params.fanout) {
+            for (const std::size_t &e : endpoints) {
+                TimedQueue<F> *q = makeLink(
+                    sim, name + ".ep" + std::to_string(e),
+                    params.queueDepth, 1);
+                node->attach(q, std::span(&e, 1));
+                _endpointQueues[e] = q;
+            }
+            return;
+        }
+        // Split the endpoints into fanout groups, each a child subtree.
+        const std::size_t per =
+            (endpoints.size() + params.fanout - 1) / params.fanout;
+        for (std::size_t g = 0; g * per < endpoints.size(); ++g) {
+            const auto sub = endpoints.subspan(
+                g * per, std::min(per, endpoints.size() - g * per));
+            const std::string child = name + "." + std::to_string(g);
+            TimedQueue<F> *q =
+                makeLink(sim, child + ".link", params.queueDepth, 1);
+            node->attach(q, sub);
+            buildSubtree(sim, child, sub, params, q);
+        }
+    }
+
+    typename Node::Param _param;
+    std::vector<std::unique_ptr<Node>> _nodes;
+    std::vector<std::unique_ptr<TimedQueue<F>>> _links;
+    std::vector<std::string> _linkNames; ///< parallel to _links
+    std::vector<TimedQueue<F> *> _endpointQueues;
+    StatScalar *_flits;
+    TreeStats _stats;
+};
+
+/**
  * A many-to-one aggregation tree with per-SLR subtrees.
  *
  * Producers push into endpointPort(i); flits pop out of the consumer
  * queue passed at construction.
  */
 template <typename F, typename Lock = NoLock<F>>
-class MuxTree
+class MuxTree : public FabricTree<F, MuxNode<F, Lock>>
 {
   public:
     /**
@@ -289,147 +468,11 @@ class MuxTree
             const std::vector<unsigned> &endpoint_slr, unsigned root_slr,
             const NocParams &params, TimedQueue<F> *out,
             Lock lock = Lock{})
+        : FabricTree<F, MuxNode<F, Lock>>(sim, name, endpoint_slr.size(),
+                                          std::move(lock))
     {
-        beethoven_assert(!endpoint_slr.empty(),
-                         "MuxTree %s with no endpoints", name.c_str());
-        _endpointQueues.resize(endpoint_slr.size());
-        _flits = &sim.stats().groupByPath(name).scalar("flits");
-
-        // Group endpoints by SLR.
-        std::map<unsigned, std::vector<std::size_t>> by_slr;
-        for (std::size_t i = 0; i < endpoint_slr.size(); ++i)
-            by_slr[endpoint_slr[i]].push_back(i);
-
-        auto *root = makeNode(sim, name + ".root", out, lock);
-        for (auto &[slr, endpoints] : by_slr) {
-            // The SLR subtree feeds the root through a link that models
-            // the SLR-crossing buffers when slr != root_slr. Crossing
-            // buffers are pipelined register chains, so the link must
-            // hold at least `latency` flits in flight or it would
-            // throttle bandwidth to depth/latency.
-            const unsigned link_latency =
-                slr == root_slr ? 1 : params.slrCrossingLatency;
-            auto *link = makeQueue(
-                sim, name + ".slr" + std::to_string(slr) + ".link",
-                std::max<std::size_t>(params.queueDepth,
-                                      link_latency + 1),
-                link_latency);
-            if (slr != root_slr)
-                ++_stats.slrCrossings;
-            root->addInput(link);
-            buildSubtree(sim, name + ".slr" + std::to_string(slr),
-                         endpoints, params, link, lock);
-        }
-        // Fold node-local counters into the published scalar whenever
-        // stats are emitted; exact because the locals hold integers.
-        sim.addStatFolder([this] { _flits->set(flits()); });
+        this->build(sim, name, endpoint_slr, root_slr, params, out);
     }
-
-    /** The queue endpoint @p idx pushes its flits into. */
-    TimedQueue<F> &
-    endpointPort(std::size_t idx)
-    {
-        beethoven_assert(idx < _endpointQueues.size(),
-                         "endpoint index %zu out of range", idx);
-        return *_endpointQueues[idx];
-    }
-
-    /** Cumulative node-hops forwarded through this tree. */
-    double
-    flits() const
-    {
-        double total = 0.0;
-        for (const auto &n : _nodes)
-            total += n->flits();
-        return total;
-    }
-
-    const TreeStats &stats() const { return _stats; }
-
-    /** Flits currently buffered in the tree's internal links. */
-    std::size_t
-    occupancy() const
-    {
-        std::size_t total = 0;
-        for (const auto &q : _queues)
-            total += q->occupancy();
-        return total;
-    }
-
-    /** Visit each internal link as (name, current occupancy). */
-    void
-    visitLinkOccupancy(
-        const std::function<void(const std::string &, std::size_t)> &fn)
-        const
-    {
-        for (std::size_t i = 0; i < _queues.size(); ++i)
-            fn(_linkNames[i], _queues[i]->occupancy());
-    }
-
-  private:
-    MuxNode<F, Lock> *
-    makeNode(Simulator &sim, const std::string &name, TimedQueue<F> *out,
-             const Lock &lock)
-    {
-        _nodes.push_back(std::make_unique<MuxNode<F, Lock>>(
-            sim, name, out, lock));
-        ++_stats.nodes;
-        return _nodes.back().get();
-    }
-
-    TimedQueue<F> *
-    makeQueue(Simulator &sim, const std::string &name, std::size_t depth,
-              unsigned latency)
-    {
-        _queues.push_back(
-            std::make_unique<TimedQueue<F>>(sim, depth, latency));
-        _linkNames.push_back(name);
-        ++_stats.links;
-        return _queues.back().get();
-    }
-
-    /** Build a fanout-bounded subtree over @p endpoints feeding @p out. */
-    void
-    buildSubtree(Simulator &sim, const std::string &name,
-                 const std::vector<std::size_t> &endpoints,
-                 const NocParams &params, TimedQueue<F> *out,
-                 const Lock &lock)
-    {
-        auto *node = makeNode(sim, name, out, lock);
-        if (endpoints.size() <= params.fanout) {
-            for (std::size_t e : endpoints) {
-                auto *q = makeQueue(
-                    sim, name + ".ep" + std::to_string(e),
-                    params.queueDepth, 1);
-                node->addInput(q);
-                _endpointQueues[e] = q;
-            }
-            return;
-        }
-        // Split endpoints into fanout groups, each a child subtree.
-        const std::size_t groups = params.fanout;
-        const std::size_t per =
-            (endpoints.size() + groups - 1) / groups;
-        for (std::size_t g = 0; g * per < endpoints.size(); ++g) {
-            std::vector<std::size_t> sub(
-                endpoints.begin() + g * per,
-                endpoints.begin() +
-                    std::min(endpoints.size(), (g + 1) * per));
-            auto *q = makeQueue(
-                sim, name + "." + std::to_string(g) + ".link",
-                params.queueDepth, 1);
-            node->addInput(q);
-            buildSubtree(sim, name + "." + std::to_string(g), sub,
-                         params, q, lock);
-        }
-    }
-
-    std::vector<std::unique_ptr<MuxNode<F, Lock>>> _nodes;
-    std::vector<std::unique_ptr<TimedQueue<F>>> _queues;
-    std::vector<std::string> _linkNames; ///< parallel to _queues
-    std::vector<TimedQueue<F> *> _endpointQueues;
-    StatScalar *_flits = nullptr;
-    TreeStats _stats;
 };
 
 /**
@@ -440,153 +483,27 @@ class MuxTree
  * return the global endpoint index.
  */
 template <typename F>
-class DemuxTree
+class DemuxTree : public FabricTree<F, DemuxNode<F>>
 {
   public:
-    using KeyFn = std::function<std::size_t(const F &)>;
+    using KeyFn = typename DemuxNode<F>::KeyFn;
 
     DemuxTree(Simulator &sim, const std::string &name,
               const std::vector<unsigned> &endpoint_slr,
               unsigned root_slr, const NocParams &params, KeyFn key)
-        : _key(std::move(key))
+        : FabricTree<F, DemuxNode<F>>(sim, name, endpoint_slr.size(),
+                                      std::move(key)),
+          _rootQueue(
+              this->makeLink(sim, name + ".rootq", params.queueDepth, 1))
     {
-        beethoven_assert(!endpoint_slr.empty(),
-                         "DemuxTree %s with no endpoints", name.c_str());
-        _endpointQueues.resize(endpoint_slr.size());
-        _flits = &sim.stats().groupByPath(name).scalar("flits");
-        _rootQueue = makeQueue(sim, name + ".rootq", params.queueDepth, 1);
-
-        std::map<unsigned, std::vector<std::size_t>> by_slr;
-        for (std::size_t i = 0; i < endpoint_slr.size(); ++i)
-            by_slr[endpoint_slr[i]].push_back(i);
-
-        auto *root = makeNode(sim, name + ".root", _rootQueue);
-        for (auto &[slr, endpoints] : by_slr) {
-            const unsigned link_latency =
-                slr == root_slr ? 1 : params.slrCrossingLatency;
-            // Pipelined crossing: depth must cover the latency.
-            auto *link = makeQueue(
-                sim, name + ".slr" + std::to_string(slr) + ".link",
-                std::max<std::size_t>(params.queueDepth,
-                                      link_latency + 1),
-                link_latency);
-            if (slr != root_slr)
-                ++_stats.slrCrossings;
-            for (std::size_t e : endpoints)
-                root->addRoute(e, link);
-            buildSubtree(sim, name + ".slr" + std::to_string(slr),
-                         endpoints, params, link);
-        }
-        // Fold node-local counters into the published scalar whenever
-        // stats are emitted; exact because the locals hold integers.
-        sim.addStatFolder([this] { _flits->set(flits()); });
+        this->build(sim, name, endpoint_slr, root_slr, params,
+                    _rootQueue);
     }
 
     TimedQueue<F> &rootPort() { return *_rootQueue; }
 
-    TimedQueue<F> &
-    endpointPort(std::size_t idx)
-    {
-        beethoven_assert(idx < _endpointQueues.size(),
-                         "endpoint index %zu out of range", idx);
-        return *_endpointQueues[idx];
-    }
-
-    /** Cumulative node-hops forwarded through this tree. */
-    double
-    flits() const
-    {
-        double total = 0.0;
-        for (const auto &n : _nodes)
-            total += n->flits();
-        return total;
-    }
-
-    const TreeStats &stats() const { return _stats; }
-
-    /** Flits currently buffered in the tree's internal links. */
-    std::size_t
-    occupancy() const
-    {
-        std::size_t total = 0;
-        for (const auto &q : _queues)
-            total += q->occupancy();
-        return total;
-    }
-
-    /** Visit each internal link as (name, current occupancy). */
-    void
-    visitLinkOccupancy(
-        const std::function<void(const std::string &, std::size_t)> &fn)
-        const
-    {
-        for (std::size_t i = 0; i < _queues.size(); ++i)
-            fn(_linkNames[i], _queues[i]->occupancy());
-    }
-
   private:
-    DemuxNode<F> *
-    makeNode(Simulator &sim, const std::string &name, TimedQueue<F> *in)
-    {
-        _nodes.push_back(
-            std::make_unique<DemuxNode<F>>(sim, name, in, _key));
-        ++_stats.nodes;
-        return _nodes.back().get();
-    }
-
-    TimedQueue<F> *
-    makeQueue(Simulator &sim, const std::string &name, std::size_t depth,
-              unsigned latency)
-    {
-        _queues.push_back(
-            std::make_unique<TimedQueue<F>>(sim, depth, latency));
-        _linkNames.push_back(name);
-        ++_stats.links;
-        return _queues.back().get();
-    }
-
-    void
-    buildSubtree(Simulator &sim, const std::string &name,
-                 const std::vector<std::size_t> &endpoints,
-                 const NocParams &params, TimedQueue<F> *in)
-    {
-        auto *node = makeNode(sim, name, in);
-        if (endpoints.size() <= params.fanout) {
-            for (std::size_t e : endpoints) {
-                auto *q = makeQueue(
-                    sim, name + ".ep" + std::to_string(e),
-                    params.queueDepth, 1);
-                node->addRoute(e, q);
-                _endpointQueues[e] = q;
-            }
-            return;
-        }
-        const std::size_t groups = params.fanout;
-        const std::size_t per =
-            (endpoints.size() + groups - 1) / groups;
-        for (std::size_t g = 0; g * per < endpoints.size(); ++g) {
-            std::vector<std::size_t> sub(
-                endpoints.begin() + g * per,
-                endpoints.begin() +
-                    std::min(endpoints.size(), (g + 1) * per));
-            auto *q = makeQueue(
-                sim, name + "." + std::to_string(g) + ".link",
-                params.queueDepth, 1);
-            for (std::size_t e : sub)
-                node->addRoute(e, q);
-            buildSubtree(sim, name + "." + std::to_string(g), sub,
-                         params, q);
-        }
-    }
-
-    KeyFn _key;
-    TimedQueue<F> *_rootQueue = nullptr;
-    std::vector<std::unique_ptr<DemuxNode<F>>> _nodes;
-    std::vector<std::unique_ptr<TimedQueue<F>>> _queues;
-    std::vector<std::string> _linkNames; ///< parallel to _queues
-    std::vector<TimedQueue<F> *> _endpointQueues;
-    StatScalar *_flits = nullptr;
-    TreeStats _stats;
+    TimedQueue<F> *_rootQueue;
 };
 
 } // namespace beethoven

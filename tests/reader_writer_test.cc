@@ -270,11 +270,11 @@ TEST(Reader, TlpUsesDistinctIdsNoTlpUsesOne)
     tlp.useTlp = true;
     tlp.maxInflight = 4;
     Reader with_tlp(sim, "tlp", tlp, AxiConfig{}, 0, &ar, &r);
-    EXPECT_EQ(with_tlp.numIds(), 4u);
+    EXPECT_EQ(with_tlp.params().numIds(), 4u);
     ReaderParams no_tlp = tlp;
     no_tlp.useTlp = false;
     Reader without(sim, "no_tlp", no_tlp, AxiConfig{}, 8, &ar, &r);
-    EXPECT_EQ(without.numIds(), 1u);
+    EXPECT_EQ(without.params().numIds(), 1u);
 }
 
 } // namespace

@@ -31,6 +31,7 @@
 #include "base/rng.h"
 #include "baselines/toolflow_models.h"
 #include "common/bench_cli.h"
+#include "common/fit_search.h"
 #include "platform/aws_f1.h"
 #include "runtime/fpga_handle.h"
 #include "verify/invariants.h"
@@ -54,33 +55,6 @@ struct KernelDriver
     std::function<Cycle(AcceleratorCore &)> kernelCycles;
 };
 
-unsigned
-maxCoresThatFit(const KernelDriver &driver, const Platform &platform,
-                unsigned limit = 256)
-{
-    unsigned lo = 1, hi = limit;
-    // Exponential probe then binary search on elaboration success.
-    auto fits = [&](unsigned n) {
-        try {
-            AcceleratorSoc soc(AcceleratorConfig(driver.makeConfig(n)),
-                               platform);
-            return true;
-        } catch (const ConfigError &) {
-            return false;
-        }
-    };
-    if (!fits(1))
-        return 0;
-    while (lo < hi) {
-        const unsigned mid = (lo + hi + 1) / 2;
-        if (fits(mid))
-            lo = mid;
-        else
-            hi = mid - 1;
-    }
-    return lo;
-}
-
 struct Result
 {
     double hlsOps;
@@ -100,7 +74,7 @@ runKernel(const KernelDriver &driver,
     // MachSuite Beethoven designs run at the default 125 MHz clock
     // (Section III-B), unlike the 250 MHz memcpy study.
     platform.setClockMHz(125);
-    const unsigned fit = maxCoresThatFit(driver, platform);
+    const unsigned fit = maxCoresThatFit(driver.makeConfig, platform, 256);
     const unsigned n_cores =
         std::min(fit, cli.quick() ? std::min(driver.simCoreCap, 4u)
                                   : driver.simCoreCap);

@@ -17,6 +17,7 @@
 
 #include "accel/a3/a3_core.h"
 #include "common/bench_cli.h"
+#include "common/fit_search.h"
 #include "platform/aws_f1.h"
 #include "runtime/fpga_handle.h"
 
@@ -25,29 +26,6 @@ using namespace beethoven::a3;
 
 namespace
 {
-
-unsigned
-maxA3Cores(const Platform &platform)
-{
-    unsigned lo = 1, hi = 64;
-    auto fits = [&](unsigned n) {
-        try {
-            AcceleratorSoc soc(AcceleratorConfig(A3Core::systemConfig(n)),
-                               platform);
-            return true;
-        } catch (const ConfigError &) {
-            return false;
-        }
-    };
-    while (lo < hi) {
-        const unsigned mid = (lo + hi + 1) / 2;
-        if (fits(mid))
-            lo = mid;
-        else
-            hi = mid - 1;
-    }
-    return lo;
-}
 
 void
 printRow(const char *name, const ResourceVec &r, const ResourceVec &cap)
@@ -84,7 +62,8 @@ main(int argc, char **argv)
     BenchCli cli(argc, argv);
     setInformEnabled(false);
     AwsF1Platform platform;
-    const unsigned n_cores = maxA3Cores(platform);
+    const unsigned n_cores = maxCoresThatFit(
+        [](unsigned n) { return A3Core::systemConfig(n); }, platform, 64);
 
     AcceleratorSoc soc(AcceleratorConfig(A3Core::systemConfig(n_cores)),
                        platform);

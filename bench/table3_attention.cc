@@ -22,6 +22,7 @@
 #include "base/rng.h"
 #include "baselines/attention_sw.h"
 #include "common/bench_cli.h"
+#include "common/fit_search.h"
 #include "platform/asap7.h"
 #include "platform/aws_f1.h"
 #include "power/power.h"
@@ -32,29 +33,6 @@ using namespace beethoven::a3;
 
 namespace
 {
-
-unsigned
-maxA3Cores(const Platform &platform)
-{
-    unsigned lo = 1, hi = 64;
-    auto fits = [&](unsigned n) {
-        try {
-            AcceleratorSoc soc(AcceleratorConfig(A3Core::systemConfig(n)),
-                               platform);
-            return true;
-        } catch (const ConfigError &) {
-            return false;
-        }
-    };
-    while (lo < hi) {
-        const unsigned mid = (lo + hi + 1) / 2;
-        if (fits(mid))
-            lo = mid;
-        else
-            hi = mid - 1;
-    }
-    return lo;
-}
 
 /** Simulated attention throughput (ops/s) on @p platform. */
 double
@@ -160,7 +138,8 @@ main(int argc, char **argv)
 
     // Beethoven: full multi-core FPGA simulation.
     AwsF1Platform f1;
-    const unsigned n_cores = maxA3Cores(f1);
+    const unsigned n_cores = maxCoresThatFit(
+        [](unsigned n) { return A3Core::systemConfig(n); }, f1, 64);
     double f1_watts = 0.0;
     const unsigned queries = cli.quick() ? 48 : 192;
     const double f1_ops =

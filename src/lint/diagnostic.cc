@@ -74,8 +74,9 @@ diagnosticRegistry()
         // --- noc layer ---------------------------------------------
         {"BTH040", "noc", Severity::Error,
          "NoC root SLR index out of range (disconnected tree)"},
-        {"BTH041", "noc", Severity::Warning,
-         "SLR-crossing buffer depth below the crossing latency"},
+        // BTH041 (SLR-crossing buffer depth below the crossing
+        // latency) is retired and unassigned: the tree builder sizes
+        // every crossing link to its latency.
         {"BTH042", "noc", Severity::Warning,
          "aggregate stream demand oversubscribes the fabric root "
          "link"},

@@ -84,9 +84,7 @@ SimGraphRecord::edgeFor(const void *q)
     if (it != _edgeIndex.end())
         return _edges[it->second];
     _edgeIndex.emplace(q, _edges.size());
-    QueueEdge e;
-    e.queue = q;
-    _edges.push_back(std::move(e));
+    _edges.emplace_back();
     return _edges.back();
 }
 
@@ -123,14 +121,10 @@ SimGraphRecord::setSelfWake(Module *m, SourceSite site)
 }
 
 void
-SimGraphRecord::registerQueue(const void *q, std::size_t capacity,
-                              unsigned latency, SourceSite site)
+SimGraphRecord::registerQueue(const void *q, SourceSite site)
 {
     QueueEdge &e = edgeFor(q);
     e = QueueEdge{};
-    e.queue = q;
-    e.capacity = capacity;
-    e.latency = latency;
     e.site = site;
 }
 
@@ -148,14 +142,11 @@ SimGraphRecord::recordPushWake(const void *q, Module *consumer, bool armed,
 }
 
 void
-SimGraphRecord::recordPopWake(const void *q, Module *producer, bool armed,
-                              SourceSite site)
+SimGraphRecord::recordPopWake(const void *q, Module *producer, bool armed)
 {
     QueueEdge &e = edgeFor(q);
-    if (e.producer == nullptr) {
+    if (e.producer == nullptr)
         e.producer = producer;
-        e.producerSite = site;
-    }
     e.popWakeArmed = armed;
 }
 
@@ -169,12 +160,9 @@ SimGraphRecord::declareConsumer(const void *q, Module *consumer,
 }
 
 void
-SimGraphRecord::declareProducer(const void *q, Module *producer,
-                                SourceSite site)
+SimGraphRecord::declareProducer(const void *q, Module *producer)
 {
-    QueueEdge &e = edgeFor(q);
-    e.producer = producer;
-    e.producerSite = site;
+    edgeFor(q).producer = producer;
 }
 
 } // namespace beethoven

@@ -72,16 +72,12 @@ class SimGraphRecord
   public:
     struct QueueEdge
     {
-        const void *queue = nullptr;
         SourceSite site;        ///< where the queue was constructed
-        std::size_t capacity = 0;
-        unsigned latency = 0;
         Module *consumer = nullptr;   ///< declared consumer (if any)
         SourceSite consumerSite;
         bool pushWakeArmed = false;
         Module *pushWakeTarget = nullptr;
         Module *producer = nullptr;   ///< declared producer / pop-wake target
-        SourceSite producerSite;
         bool popWakeArmed = false;
     };
 
@@ -100,16 +96,14 @@ class SimGraphRecord
     void setSleepable(Module *m, SourceSite site);
     void setSelfWake(Module *m, SourceSite site);
 
-    void registerQueue(const void *q, std::size_t capacity,
-                       unsigned latency, SourceSite site);
+    void registerQueue(const void *q, SourceSite site);
     void recordPushWake(const void *q, Module *consumer, bool armed,
                         SourceSite site);
-    void recordPopWake(const void *q, Module *producer, bool armed,
-                       SourceSite site);
+    void recordPopWake(const void *q, Module *producer, bool armed);
     /** Record-only consumer declaration (poll-driven consumers). */
     void declareConsumer(const void *q, Module *consumer, SourceSite site);
     /** Record-only producer declaration. */
-    void declareProducer(const void *q, Module *producer, SourceSite site);
+    void declareProducer(const void *q, Module *producer);
 
     const std::vector<ModuleInfo> &modules() const { return _modules; }
     const std::vector<QueueEdge> &edges() const { return _edges; }

@@ -49,8 +49,7 @@ class TimedQueue
     {
         beethoven_assert(capacity >= 1, "queue capacity must be >= 1");
         beethoven_assert(latency >= 1, "queue latency must be >= 1");
-        sim.graphRecord().registerQueue(this, capacity, latency,
-                                        loc);
+        sim.graphRecord().registerQueue(this, loc);
     }
 
     /**
@@ -81,12 +80,10 @@ class TimedQueue
      * armed for the next cycle regardless of tick order.
      */
     void
-    setWakeOnPop(Module *producer,
-                 std::source_location loc = std::source_location::current())
+    setWakeOnPop(Module *producer)
     {
         _wakeOnPop = producer;
-        _sim.graphRecord().recordPopWake(this, producer, true,
-                                         loc);
+        _sim.graphRecord().recordPopWake(this, producer, true);
     }
 
     /**
@@ -104,11 +101,9 @@ class TimedQueue
 
     /** Record-only producer declaration for the analyzer. */
     void
-    declareProducer(Module *producer,
-                    std::source_location loc = std::source_location::current())
+    declareProducer(Module *producer)
     {
-        _sim.graphRecord().declareProducer(this, producer,
-                                           loc);
+        _sim.graphRecord().declareProducer(this, producer);
     }
 
     /** True if a push this cycle would be accepted. */

@@ -9,6 +9,7 @@
 
 #include "core/accelerator_core.h"
 #include "core/soc.h"
+#include "platform/aws_f1.h"
 #include "platform/sim_platform.h"
 #include "runtime/fpga_handle.h"
 
@@ -61,6 +62,36 @@ class SenderCore : public AcceleratorCore
     bool _respond = false;
 };
 
+/** Rows the streaming sender writes: the receiver's whole inbox. */
+constexpr u32 kRows = 256;
+
+/** Streams rows 0..n-1 into the out port, one each cycle it can. */
+class StreamingSenderCore : public AcceleratorCore
+{
+  public:
+    StreamingSenderCore(const CoreContext &ctx, u32 rows)
+        : AcceleratorCore(ctx), _out(getIntraCoreMemOut("link")),
+          _rows(rows)
+    {}
+
+    void
+    tick() override
+    {
+        if (_next < _rows && _out.canPush()) {
+            SpadRequest w;
+            w.row = _next++;
+            w.write = true;
+            w.data.assign(4, 0xA5);
+            _out.push(std::move(w));
+        }
+    }
+
+  private:
+    TimedQueue<SpadRequest> &_out;
+    u32 _rows;
+    u32 _next = 0;
+};
+
 /** Receiver: command(row) responds with inbox[row]. */
 class ReceiverCore : public AcceleratorCore
 {
@@ -68,6 +99,8 @@ class ReceiverCore : public AcceleratorCore
     explicit ReceiverCore(const CoreContext &ctx)
         : AcceleratorCore(ctx), _inbox(getScratchpad("inbox"))
     {}
+
+    const Scratchpad &inbox() const { return _inbox; }
 
     void
     tick() override
@@ -167,6 +200,35 @@ TEST(IntraCore, PointToPointCountMismatchIsFatal)
             linkedConfig(2, 3, CommunicationDegree::PointToPoint),
             platform),
         ConfigError);
+}
+
+TEST(IntraCore, CrossSlrPortMovesOneRowPerCycle)
+{
+    // The bridge's queue carries the SLR-crossing latency, so it must
+    // be deep enough to keep a row per cycle in flight across it.
+    AwsF1Platform platform;
+    AcceleratorConfig cfg =
+        linkedConfig(1, 1, CommunicationDegree::PointToPoint);
+    AcceleratorSystemConfig &tx = cfg.systems[0];
+    tx.moduleConstructor = [](const CoreContext &ctx) {
+        return std::make_unique<StreamingSenderCore>(ctx, kRows);
+    };
+    // Sender logic this large leaves the receiver a different SLR.
+    tx.kernelResources.lut = 250e3;
+    tx.kernelResources.clb = 30e3;
+    AcceleratorSoc soc(std::move(cfg), platform);
+    ASSERT_NE(soc.coreSlrs("Tx")[0], soc.coreSlrs("Rx")[0]);
+
+    const Scratchpad &inbox =
+        dynamic_cast<ReceiverCore &>(soc.core("Rx", 0)).inbox();
+    const Cycle start = soc.sim().cycle();
+    while (inbox.accesses() < kRows &&
+           soc.sim().cycle() - start < 4 * kRows)
+        soc.sim().step();
+    EXPECT_EQ(inbox.accesses(), kRows);
+    EXPECT_LE(soc.sim().cycle() - start,
+              kRows + 4 * platform.nocParams().slrCrossingLatency);
+    EXPECT_EQ(inbox.peekUint(kRows - 1), 0xA5A5A5A5u);
 }
 
 TEST(IntraCore, InboxMemoryIsAccountedInMappings)

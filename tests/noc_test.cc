@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "axi/axi_types.h"
 #include "noc/tree.h"
@@ -192,6 +194,89 @@ TEST(Trees, StatsCountNodesAndCrossings)
     EXPECT_EQ(tree.stats().slrCrossings, 2u);
     EXPECT_GE(tree.stats().nodes, 4u);
     EXPECT_GE(tree.stats().links, slrs.size());
+}
+
+TEST(Trees, MuxAndDemuxShareOneShape)
+{
+    Simulator sim;
+    TimedQueue<Flit> out(sim, 4);
+    NocParams params;
+    params.fanout = 2;
+    const std::vector<unsigned> slrs = {0, 2, 0, 1, 0, 1, 2, 0, 0};
+    MuxTree<Flit> mux(sim, "mux", slrs, 1, params, &out);
+    DemuxTree<Flit> demux(sim, "demux", slrs, 1, params,
+                          [](const Flit &f) { return f.dst; });
+    EXPECT_EQ(mux.stats().nodes, demux.stats().nodes);
+    EXPECT_EQ(mux.stats().slrCrossings, 2u);
+    EXPECT_EQ(demux.stats().slrCrossings, mux.stats().slrCrossings);
+    // The demux alone owns a root queue for its producer.
+    EXPECT_EQ(demux.stats().links, mux.stats().links + 1);
+
+    auto link_names = [](const auto &tree, const std::string &prefix) {
+        std::vector<std::string> names;
+        tree.visitLinkOccupancy(
+            [&](const std::string &name, std::size_t) {
+                EXPECT_EQ(name.rfind(prefix, 0), 0u) << name;
+                names.push_back(name.substr(prefix.size()));
+            });
+        return names;
+    };
+    std::vector<std::string> demux_links = link_names(demux, "demux");
+    ASSERT_FALSE(demux_links.empty());
+    EXPECT_EQ(demux_links.front(), ".rootq");
+    demux_links.erase(demux_links.begin());
+    EXPECT_EQ(link_names(mux, "mux"), demux_links);
+}
+
+TEST(Trees, CrossingSustainsOneFlitPerCycle)
+{
+    // Link queues shallower than the crossing latency: the builder
+    // still sizes each crossing to keep one flit per cycle moving, in
+    // both directions, so a remote endpoint's stream takes its length
+    // plus a few crossing latencies.
+    constexpr unsigned kFlits = 200;
+    NocParams params;
+    params.queueDepth = 2;
+    params.slrCrossingLatency = 4;
+    const Cycle bound = kFlits + 4 * params.slrCrossingLatency;
+    const std::vector<unsigned> remote = {1};
+
+    {
+        Simulator sim;
+        TimedQueue<Flit> out(sim, 2);
+        MuxTree<Flit> mux(sim, "mux", remote, 0, params, &out);
+        unsigned sent = 0, received = 0;
+        Cycle cycles = 0;
+        for (; received < kFlits && cycles < 4 * kFlits; ++cycles) {
+            if (sent < kFlits && mux.endpointPort(0).canPush())
+                mux.endpointPort(0).push({0, 0, sent++});
+            if (out.canPop()) {
+                out.pop();
+                ++received;
+            }
+            sim.step();
+        }
+        EXPECT_EQ(received, kFlits);
+        EXPECT_LE(cycles, bound) << "mux";
+    }
+    {
+        Simulator sim;
+        DemuxTree<Flit> demux(sim, "demux", remote, 0, params,
+                              [](const Flit &f) { return f.dst; });
+        unsigned sent = 0, received = 0;
+        Cycle cycles = 0;
+        for (; received < kFlits && cycles < 4 * kFlits; ++cycles) {
+            if (sent < kFlits && demux.rootPort().canPush())
+                demux.rootPort().push({0, 0, sent++});
+            if (demux.endpointPort(0).canPop()) {
+                demux.endpointPort(0).pop();
+                ++received;
+            }
+            sim.step();
+        }
+        EXPECT_EQ(received, kFlits);
+        EXPECT_LE(cycles, bound) << "demux";
+    }
 }
 
 TEST(Trees, LargeFanoutRespectsLimit)

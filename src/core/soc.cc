@@ -438,9 +438,6 @@ AcceleratorSoc::buildMemoryFabric()
     _readIdsInUse = allocate_ids(reads, *read_id_map);
     _writeIdsInUse = allocate_ids(writes, *write_id_map);
 
-    if (reads.empty() && writes.empty())
-        return; // a pure-compute accelerator: no memory fabric at all
-
     const NocParams noc = _platform.nocParams();
     const unsigned mem_slr = _platform.memorySlr();
     auto slrs_of = [this](const std::vector<Endpoint> &eps) {

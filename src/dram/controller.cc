@@ -1,6 +1,7 @@
 #include "dram/controller.h"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 
 #include "base/log.h"
@@ -9,10 +10,40 @@
 namespace beethoven
 {
 
+namespace
+{
+
+/** @p cfg, once mapAddress() can map its geometry and one mask word
+ *  holds its banks. */
+const DramController::Config &
+checkGeometry(const DramController::Config &cfg)
+{
+    const DramGeometry &g = cfg.geometry;
+    if (g.nBankGroups == 0)
+        fatal("DRAM geometry: nBankGroups is 0");
+    if (g.banksPerGroup == 0)
+        fatal("DRAM geometry: banksPerGroup is 0");
+    if (u64(g.nBankGroups) * g.banksPerGroup > 64) {
+        fatal("DRAM geometry: nBankGroups %u x banksPerGroup %u exceeds "
+              "the controller's 64 banks",
+              g.nBankGroups, g.banksPerGroup);
+    }
+    if (g.interleaveBytes == 0)
+        fatal("DRAM geometry: interleaveBytes is 0");
+    if (g.rowBytesPerBank < g.interleaveBytes) {
+        fatal("DRAM geometry: rowBytesPerBank %u is below "
+              "interleaveBytes %u",
+              g.rowBytesPerBank, g.interleaveBytes);
+    }
+    return cfg;
+}
+
+} // namespace
+
 DramController::DramController(Simulator &sim, std::string name,
                                const Config &cfg, FunctionalMemory &mem)
     : Module(sim, std::move(name)),
-      _cfg(cfg),
+      _cfg(checkGeometry(cfg)),
       _mem(mem),
       _arIn(sim, cfg.portDepth),
       _wIn(sim, cfg.portDepth),
@@ -57,6 +88,7 @@ DramController::tick()
             bank.actReadyAt = std::max(bank.actReadyAt,
                                        now + _cfg.timing.tRFC);
         }
+        _hit[0] = _hit[1] = 0;
         _refreshUntil = now + _cfg.timing.tRFC;
         _nextRefreshAt = now + _cfg.timing.tREFI;
         ++*_statRefreshes;
@@ -69,9 +101,17 @@ DramController::tick()
         accountCycle(did, rd, wr, /*in_refresh=*/true);
         return;
     }
-    const bool col = scheduleColumn();
+    // The row pass sees the view as it was before this cycle's column
+    // issue (DESIGN §4b, tie-break 3). The issuing bank cannot take a
+    // row command this cycle (its preReadyAt is at least now + 2), so
+    // only the refill of the issuing burst's window, which reaches
+    // other banks, has to wait for the row pass.
+    Txn *const issued = scheduleColumn();
+    const bool col = issued != nullptr;
     if (scheduleRowCommands())
         did = true;
+    if (col)
+        fillWindow(_lastColWasWrite, *issued);
     const ServiceResult rd = sendReadData();
     const ServiceResult wr = sendWriteResponses();
     if (col || rd == ServiceResult::Done || wr == ServiceResult::Done)
@@ -138,22 +178,42 @@ DramController::accept(bool is_write, u32 id, u64 tag, Addr addr, u32 beats)
                      is_write ? "write" : "read", beats);
     const Cycle now = sim().cycle();
     Side &side = _side[is_write];
-    std::deque<Txn> &txns = side.ids[id].txns;
-    Txn &txn = txns.emplace_back();
+    auto it = side.ids.find(id);
+    if (it == side.ids.end()) {
+        if (_spareIds.empty()) {
+            it = side.ids.try_emplace(id).first;
+        } else {
+            // An emptied queue's node, reset: its gate has passed and
+            // its wait counters belong to its old ID.
+            auto node = std::move(_spareIds.back());
+            _spareIds.pop_back();
+            node.key() = id;
+            node.mapped() = {};
+            it = side.ids.insert(std::move(node)).position;
+        }
+    }
+    std::list<Txn> &txns = it->second.txns;
+    if (_spareTxns.empty()) {
+        // Every burst's block fits the longest burst, so a recycled
+        // one never regrows.
+        txns.emplace_back().beat.reserve(_cfg.axi.maxBurstBeats);
+    } else {
+        txns.splice(txns.end(), _spareTxns, _spareTxns.begin());
+    }
+    Txn &txn = txns.back();
     ++side.count;
-    txn.live = txns.size() == 1; // an idle ID has no gate to wait for
     txn.seq = _seqCounter++;
     txn.tag = tag;
     txn.id = id;
     txn.acceptedAt = now;
     txn.addr = addr;
     txn.beats = beats;
-    // One block size for every burst: a retired burst's block fits the
-    // next accept whole, so bursts of mixed lengths do not leave holes
-    // that long-lived allocations split (perfbench memcpy_stream: a
-    // third to a half fewer minor faults, same peak RSS).
-    txn.beat.reserve(_cfg.axi.maxBurstBeats);
+    txn.beatsHere = txn.beatsIssued = txn.beatsSent = 0;
+    txn.live = txns.size() == 1; // an idle ID has no gate to wait for
+    txn.exposed = txn.windowEnd = 0;
+    txn.beat.clear();
     txn.beat.resize(beats);
+    txn.strb.clear();
     for (u32 b = 0; b < beats; ++b) {
         txn.beat[b].coord = mapAddress(
             _cfg.geometry, addr + static_cast<Addr>(b) * _cfg.axi.dataBytes);
@@ -172,11 +232,26 @@ DramController::fillWindow(bool is_write, Txn &txn)
            txn.windowEnd < txn.beatsHere) {
         const u32 b = txn.windowEnd++;
         const DramCoord &coord = txn.beat[b].coord;
-        std::vector<ViewEntry> &view = _banks[coord.bank].view[is_write];
+        BankState &bank = _banks[coord.bank];
+        std::vector<ViewEntry> &view = bank.view[is_write];
         const ViewEntry e{txn.seq, b, coord.row, &txn};
-        view.insert(std::upper_bound(view.begin(), view.end(), e), e);
+        const auto pos = std::upper_bound(view.begin(), view.end(), e);
+        const auto i = static_cast<u32>(pos - view.begin());
+        view.insert(pos, e);
         ++txn.exposed;
         ++_exposedBeats[is_write];
+        // Keep the bank's first row hit: an insert before it shifts
+        // it, and a hit inserted at or before it replaces it.
+        const u64 bit = u64(1) << coord.bank;
+        const bool had_hit = (_hit[is_write] & bit) != 0;
+        if (had_hit && i <= bank.hit[is_write])
+            ++bank.hit[is_write];
+        if (bank.open && coord.row == bank.row &&
+            (!had_hit || i < bank.hit[is_write])) {
+            bank.hit[is_write] = i;
+            _hit[is_write] |= bit;
+        }
+        _busy |= bit;
     }
 }
 
@@ -199,66 +274,51 @@ DramController::updateDrainMode()
     }
 }
 
-void
-DramController::scanCandidates()
+unsigned
+DramController::readyHit(bool w) const
 {
-    // AXI same-ID ordering: only the oldest transaction on each ID is
-    // live, so only its beats are in the view. This is the
-    // serialization that penalizes single-ID streams (Fig. 5's HLS
-    // kernel).
-    //
-    // Each bank's lists are sorted by (seq, beat index), so every pick
-    // below is the first entry that qualifies: the oldest beat per bank
-    // (drain direction preferred) steers row commands, and the oldest
-    // ready row hit per direction feeds the column pick (FR-FCFS).
+    // FR-FCFS: the oldest beat, by (seq, beat index), among the banks
+    // whose first row hit in this direction may take a column command.
+    // Each bank's view is sorted, so its first hit is its oldest.
     const Cycle now = sim().cycle();
-    const bool drain = _writeDrainMode;
     // Bus turnaround: switching direction costs tSwitch idle cycles.
-    const bool switching =
-        _anyColIssued && now < _lastColAt + _cfg.timing.tSwitch;
-    _hasBest[0] = _hasBest[1] = false;
-    if (_oldestPerBank.size() != _banks.size()) {
-        // Sized on first use: sized in the constructor, they slowed
-        // perfbench memcpy_stream's setup_s by about 7% (heap layout).
-        _oldestPerBank.resize(_banks.size());
-        _bankValid.resize(_banks.size());
-        _bankHasHit.resize(_banks.size());
+    if (_anyColIssued && w != _lastColWasWrite &&
+        now < _lastColAt + _cfg.timing.tSwitch) {
+        return kNoBank;
     }
-    for (unsigned b = 0; b < _banks.size(); ++b) {
+    unsigned best = kNoBank;
+    const ViewEntry *best_beat = nullptr;
+    for (u64 m = _hit[w]; m != 0; m &= m - 1) {
+        const auto b = static_cast<unsigned>(std::countr_zero(m));
         const BankState &bank = _banks[b];
-        _bankHasHit[b] = 0;
-        _bankValid[b] = !bank.view[0].empty() || !bank.view[1].empty();
-        if (_bankValid[b] == 0)
+        if (now < bank.colReadyAt)
             continue;
-        const bool dir = bank.view[drain].empty() ? !drain : drain;
-        _oldestPerBank[b] = {bank.view[dir].front(), b, dir};
-        if (!bank.open)
-            continue;
-        for (const bool w : {false, true}) {
-            const bool can_issue = now >= bank.colReadyAt &&
-                                   !(switching && w != _lastColWasWrite);
-            if (w != drain && !can_issue)
-                continue;
-            const std::vector<ViewEntry> &view = bank.view[w];
-            const auto hit =
-                std::find_if(view.begin(), view.end(), [&](const auto &e) {
-                    return e.row == bank.row;
-                });
-            if (hit == view.end())
-                continue;
-            // Banks with a pending row hit in the drain direction must
-            // not be precharged out from under it.
-            if (w == drain)
-                _bankHasHit[b] = 1;
-            if (can_issue && (!_hasBest[w] || *hit < _best[w].beat)) {
-                _best[w] = {*hit, b, w};
-                _hasBest[w] = true;
-            }
+        const ViewEntry &hit = bank.view[w][bank.hit[w]];
+        if (best_beat == nullptr || hit < *best_beat) {
+            best = b;
+            best_beat = &hit;
         }
     }
+    return best;
 }
 
-bool
+void
+DramController::seekHit(unsigned b, bool w, std::size_t from)
+{
+    BankState &bank = _banks[b];
+    const std::vector<ViewEntry> &view = bank.view[w];
+    const u64 bit = u64(1) << b;
+    for (std::size_t i = from; i < view.size(); ++i) {
+        if (view[i].row == bank.row) {
+            bank.hit[w] = static_cast<u32>(i);
+            _hit[w] |= bit;
+            return;
+        }
+    }
+    _hit[w] &= ~bit;
+}
+
+DramController::Txn *
 DramController::scheduleColumn()
 {
     const Cycle now = sim().cycle();
@@ -272,36 +332,49 @@ DramController::scheduleColumn()
     _gates.erase(_gates.begin(), gate);
 
     updateDrainMode();
-    scanCandidates();
 
+    // AXI same-ID ordering: only the oldest transaction on each ID is
+    // live, so only its beats are in the view. This is the
+    // serialization that penalizes single-ID streams (Fig. 5's HLS
+    // kernel).
+    //
     // Serve the drain direction; if it has nothing ready this cycle,
     // fall back to the other direction rather than idling the data
     // bus (work-conserving, as real controllers are).
-    const bool drain = _writeDrainMode;
-    if (!_hasBest[drain] && !_hasBest[!drain])
-        return false;
-    const Candidate chosen = _best[_hasBest[drain] ? drain : !drain];
+    bool w = _writeDrainMode;
+    unsigned b = readyHit(w);
+    if (b == kNoBank) {
+        w = !w;
+        b = readyHit(w);
+        if (b == kNoBank)
+            return nullptr;
+    }
 
-    BankState &bank = _banks[chosen.bank];
+    BankState &bank = _banks[b];
+    std::vector<ViewEntry> &view = bank.view[w];
+    const u32 i = bank.hit[w];
+    Txn &txn = *view[i].txn;
+    const u32 beat_idx = view[i].beatIdx;
+    Beat &beat = txn.beat[beat_idx];
+    beethoven_assert(view[i].row == bank.row && !beat.issued,
+                     "bank %u's row hit is stale", b);
     bank.colReadyAt = now + 1;
     bank.preReadyAt = std::max(bank.preReadyAt, now + 2);
-    if (_anyColIssued && chosen.isWrite != _lastColWasWrite)
+    if (_anyColIssued && w != _lastColWasWrite)
         ++*_statTurnarounds;
     _lastColAt = now;
-    _lastColWasWrite = chosen.isWrite;
+    _lastColWasWrite = w;
     _anyColIssued = true;
     ++*_statRowHits;
     ++_beatsServed;
 
-    Txn &txn = *chosen.beat.txn;
-    const u32 b = chosen.beat.beatIdx;
-    Beat &beat = txn.beat[b];
-    const Addr addr = txn.addr + static_cast<Addr>(b) * _cfg.axi.dataBytes;
-    if (chosen.isWrite) {
-        if (txn.strb.empty() || txn.strb[b].empty())
+    const Addr addr =
+        txn.addr + static_cast<Addr>(beat_idx) * _cfg.axi.dataBytes;
+    if (w) {
+        if (txn.strb.empty() || txn.strb[beat_idx].empty())
             _mem.write(addr, beat.data.size(), beat.data.data());
         else
-            _mem.writeMasked(addr, beat.data, txn.strb[b]);
+            _mem.writeMasked(addr, beat.data, txn.strb[beat_idx]);
         --_pendingWriteBeats;
         ++*_statColWrites;
     } else {
@@ -313,74 +386,77 @@ DramController::scheduleColumn()
     _lastColId = txn.id;
     beat.issued = true;
     ++txn.beatsIssued;
-    std::vector<ViewEntry> &view = bank.view[chosen.isWrite];
-    view.erase(std::lower_bound(view.begin(), view.end(), chosen.beat));
+    view.erase(view.begin() + i);
+    seekHit(b, w, i);
+    if (bank.view[0].empty() && bank.view[1].empty())
+        _busy &= ~(u64(1) << b);
     --txn.exposed;
-    --_exposedBeats[chosen.isWrite];
-    fillWindow(chosen.isWrite, txn);
-    return true;
+    --_exposedBeats[w];
+    return &txn;
 }
 
 bool
 DramController::scheduleRowCommands()
 {
     const Cycle now = sim().cycle();
-    // scanCandidates() (run by scheduleColumn this cycle) left the
-    // per-bank products: for each bank, only the oldest waiting
-    // candidate may steer row state — this prevents younger requests
-    // from closing a row an older request is about to use. Banks that
-    // still have a pending row-hit candidate *in the active drain
-    // direction* (_bankHasHit) should not be precharged out from under
-    // it; off-direction hits cannot issue until the mode flips, so
-    // they must not be allowed to pin rows — that would deadlock
-    // against the drain policy. (The column issue earlier this cycle
-    // only touches colReadyAt/preReadyAt, never open/row, so these
-    // flags are unaffected by it.)
+    // For each bank only the oldest beat in its view may steer row
+    // state (drain direction first): this prevents younger requests
+    // from closing a row an older request is about to use. A bank with
+    // a row hit *in the active drain direction* (_hit[drain]) is not
+    // precharged out from under it, so it is not walked at all;
+    // off-direction hits cannot issue until the mode flips, so they
+    // must not pin rows — that would deadlock against the drain
+    // policy.
     //
     // One row command (ACT or PRE) per cycle: prepare banks for the
     // current drain direction first, oldest request first, and on a
     // tie (one burst steering several banks) the lowest bank first.
-    while (!_recentActs.empty() &&
-           _recentActs.front() + _cfg.timing.tFAW <= now) {
-        _recentActs.pop_front();
-    }
-    // Activation constraints shared by every bank: tRRD and tFAW.
-    const bool can_act = now >= _nextActAt && _recentActs.size() < 4;
+    // Activation constraints shared by every bank: tRRD, and tFAW's
+    // four ACTs per window.
+    const bool can_act = now >= _nextActAt && now >= _fawEnds[_fawNext];
     const bool drain = _writeDrainMode;
-    const Candidate *pick = nullptr;
-    for (unsigned b = 0; b < _banks.size(); ++b) {
-        if (_bankValid[b] == 0)
-            continue;
-        const Candidate &c = _oldestPerBank[b];
-        if (pick != nullptr &&
-            ((c.isWrite == drain) == (pick->isWrite == drain)
-                 ? c.beat.seq >= pick->beat.seq
-                 : pick->isWrite == drain)) {
+    unsigned pick = kNoBank;
+    const ViewEntry *pick_beat = nullptr;
+    bool pick_drain = false; ///< pick_beat is in the drain direction
+    for (u64 m = _busy & ~_hit[drain]; m != 0; m &= m - 1) {
+        const auto b = static_cast<unsigned>(std::countr_zero(m));
+        const BankState &bank = _banks[b];
+        const bool in_drain = !bank.view[drain].empty();
+        const ViewEntry &c = bank.view[in_drain ? drain : !drain].front();
+        if (pick != kNoBank && (in_drain == pick_drain
+                                    ? c.seq >= pick_beat->seq
+                                    : pick_drain)) {
             continue; // ordered after the current pick
         }
-        const BankState &bank = _banks[b];
-        const bool ready =
-            bank.open ? bank.row != c.beat.row && _bankHasHit[b] == 0 &&
-                            now >= bank.preReadyAt
-                      : now >= bank.actReadyAt && can_act;
-        if (ready)
-            pick = &c;
+        const bool ready = bank.open
+                               ? bank.row != c.row && now >= bank.preReadyAt
+                               : now >= bank.actReadyAt && can_act;
+        if (ready) {
+            pick = b;
+            pick_beat = &c;
+            pick_drain = in_drain;
+        }
     }
-    if (pick == nullptr)
+    if (pick == kNoBank)
         return false;
-    BankState &bank = _banks[pick->bank];
+    BankState &bank = _banks[pick];
     if (bank.open) {
         bank.open = false;
         bank.actReadyAt = std::max(bank.actReadyAt, now + _cfg.timing.tRP);
+        _hit[0] &= ~(u64(1) << pick);
+        _hit[1] &= ~(u64(1) << pick);
         ++*_statRowMisses;
         return true;
     }
     bank.open = true;
-    bank.row = pick->beat.row;
+    bank.row = pick_beat->row;
     bank.colReadyAt = now + _cfg.timing.tRCD;
     bank.preReadyAt = now + _cfg.timing.tRAS;
+    seekHit(pick, false, 0);
+    seekHit(pick, true, 0);
     _nextActAt = now + _cfg.timing.tRRD;
-    _recentActs.push_back(now);
+    _fawEnds[_fawNext] = now + _cfg.timing.tFAW;
+    _fawNext = (_fawNext + 1) % 4;
     return true;
 }
 
@@ -473,7 +549,7 @@ DramController::retire(bool is_write, std::map<u32, IdQueue>::iterator it)
     }
     if (_filling == &txn)
         _filling = nullptr; // its final beat lacked the last flag
-    q.txns.pop_front();
+    _spareTxns.splice(_spareTxns.begin(), q.txns, q.txns.begin());
     --_side[is_write].count;
     // A successor already queued behind the head was held back by the
     // same-ID ordering dependence and pays the reorder-slot recycle; a
@@ -483,7 +559,7 @@ DramController::retire(bool is_write, std::map<u32, IdQueue>::iterator it)
         q.readyAt = now + _cfg.sameIdRecycleCycles;
         _gates.push_back({q.readyAt, is_write, &q.txns.front()});
     } else {
-        _side[is_write].ids.erase(it);
+        _spareIds.push_back(_side[is_write].ids.extract(it));
     }
 }
 

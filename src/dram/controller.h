@@ -18,16 +18,17 @@
  * Reads and writes share one transaction model: each direction keeps a
  * queue of bursts per active AXI ID, oldest first. The scheduler's view
  * (the beats it may issue) is kept between cycles, per bank and
- * direction in (seq, beat) order, and changed only by the events that
- * change it, so every pick is a minimum under a total order. Tags are
- * opaque labels echoed on R/B.
+ * direction in (seq, beat) order, together with each bank's first row
+ * hit and two bank masks, and changed only by the events that change
+ * it, so every pick is a minimum under a total order over the banks
+ * that can act. Tags are opaque labels echoed on R/B.
  */
 
 #ifndef BEETHOVEN_DRAM_CONTROLLER_H
 #define BEETHOVEN_DRAM_CONTROLLER_H
 
-#include <deque>
 #include <iosfwd>
+#include <list>
 #include <map>
 #include <vector>
 
@@ -73,6 +74,9 @@ class DramController : public Module
         unsigned sameIdRecycleCycles = 20;
     };
 
+    /** Throws ConfigError for a geometry mapAddress() cannot map (no
+     *  banks, no interleave, a row narrower than the interleave) or
+     *  one with more banks than a mask word holds (64). */
     DramController(Simulator &sim, std::string name, const Config &cfg,
                    FunctionalMemory &mem);
 
@@ -145,10 +149,12 @@ class DramController : public Module
     };
 
     /** The transactions of one AXI ID, oldest first. Only the head may
-     *  be scheduled, which is the whole of AXI same-ID ordering. */
+     *  be scheduled, which is the whole of AXI same-ID ordering. A list,
+     *  so a retired burst's node (and its beat storage) moves to
+     *  _spareTxns and back without touching the heap. */
     struct IdQueue
     {
-        std::deque<Txn> txns;
+        std::list<Txn> txns;
         Cycle readyAt = 0; ///< same-ID recycle gate for the head
         /** Per-ID stall split, made at the ID's first wait: cycles the
          *  head waited on the recycle gate (queueWait) vs. on bank
@@ -160,8 +166,8 @@ class DramController : public Module
     /** One direction: reads ([0]) or writes ([1]). */
     struct Side
     {
-        /** IDs with transactions, ascending; an ID is erased when its
-         *  last transaction retires. */
+        /** IDs with transactions, ascending; an ID's node moves to
+         *  _spareIds when its last transaction retires. */
         std::map<u32, IdQueue> ids;
         std::size_t count = 0; ///< transactions across all IDs
     };
@@ -185,6 +191,9 @@ class DramController : public Module
     struct BankState
     {
         bool open = false;
+        /** Per direction, while this bank's bit in _hit is set: the
+         *  index in view of the first beat on the open row. */
+        u32 hit[2] = {0, 0};
         u64 row = 0;
         Cycle actReadyAt = 0;
         Cycle colReadyAt = 0;
@@ -194,13 +203,8 @@ class DramController : public Module
         std::vector<ViewEntry> view[2];
     };
 
-    /** A view entry with the bank and direction it was read from. */
-    struct Candidate
-    {
-        ViewEntry beat;
-        unsigned bank = 0;
-        bool isWrite = false;
-    };
+    /** No bank: the result of a pick that found none. */
+    static constexpr unsigned kNoBank = ~0u;
 
     /** A burst whose recycle gate opens at @c at. */
     struct Gate
@@ -225,7 +229,9 @@ class DramController : public Module
     /** Put a live burst's next arrived beats into the view until
      *  schedulerWindow of them are there. */
     void fillWindow(bool is_write, Txn &txn);
-    bool scheduleColumn();
+    /** Issue the best ready row hit, if any; returns its burst, whose
+     *  window the caller refills after the row pass. */
+    Txn *scheduleColumn();
     bool scheduleRowCommands();
     ServiceResult sendReadData();
     ServiceResult sendWriteResponses();
@@ -235,10 +241,12 @@ class DramController : public Module
 
     /** Recompute _writeDrainMode from the view's size per side. */
     void updateDrainMode();
-    /** One pass over the banks' views computing everything the
-     *  schedulers need this cycle: best ready row hit per direction,
-     *  oldest beat per bank and per-bank row-hit flags. */
-    void scanCandidates();
+    /** The bank holding the oldest ready row hit in direction @p w, or
+     *  kNoBank. */
+    unsigned readyHit(bool w) const;
+    /** Point bank @p b's hit for direction @p w at the first beat on
+     *  the open row at or after index @p from, or clear its bit. */
+    void seekHit(unsigned b, bool w, std::size_t from);
 
     /** Classify the cycle for the stall account. */
     void accountCycle(bool did, ServiceResult rd, ServiceResult wr,
@@ -255,6 +263,9 @@ class DramController : public Module
     TimedQueue<WriteResponse> _bOut;
 
     Side _side[2];            ///< [0] reads, [1] writes
+    /** Retired bursts and emptied ID queues, reused by accept(). */
+    std::list<Txn> _spareTxns;
+    std::vector<std::map<u32, IdQueue>::node_type> _spareIds;
     Txn *_filling = nullptr; ///< write receiving W beats, if any
     u64 _exposedBeats[2] = {0, 0}; ///< beats in the view per side
     /** Gated successors, in the order their gates open. */
@@ -265,16 +276,13 @@ class DramController : public Module
     u64 _pendingWriteBeats = 0;
 
     std::vector<BankState> _banks;
-    /** scanCandidates() products, indexed by bank; _bankValid gates
-     *  stale _oldestPerBank entries. The row pass reads them after the
-     *  column issue, so it sees the view as it was before that issue. */
-    std::vector<Candidate> _oldestPerBank;
-    std::vector<u8> _bankValid;
-    std::vector<u8> _bankHasHit;
-    Candidate _best[2]; ///< oldest ready row hit per direction, if any
-    bool _hasBest[2] = {false, false};
-    std::deque<Cycle> _recentActs; ///< for tFAW
-    Cycle _nextActAt = 0;          ///< for tRRD
+    u64 _busy = 0;         ///< banks whose view holds any beat
+    u64 _hit[2] = {0, 0};  ///< open banks with a row hit, per direction
+    /** tFAW: when each of the last four ACTs leaves the window; the
+     *  next ACT replaces the oldest, _fawNext. */
+    Cycle _fawEnds[4] = {0, 0, 0, 0};
+    unsigned _fawNext = 0;
+    Cycle _nextActAt = 0; ///< for tRRD
     Cycle _lastColAt = 0;
     bool _lastColWasWrite = false;
     bool _anyColIssued = false;

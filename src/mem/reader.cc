@@ -136,13 +136,15 @@ Reader::issueRequests()
     req.tag = sim().nextTag();
     _arOut->push(req);
 
-    Txn txn;
+    Txn &txn = _txns.emplace_back();
     txn.tag = req.tag;
     txn.beats = beats;
     txn.startByte = static_cast<u32>(offset);
     txn.validBytes = txn_bytes;
-    txn.bytes.reserve(static_cast<std::size_t>(beats) * _bus.dataBytes);
-    _txns.push_back(std::move(txn));
+    txn.bytes = std::move(_spareBytes);
+    // Room for the longest burst, so a recycled buffer never regrows.
+    txn.bytes.reserve(static_cast<std::size_t>(_params.burstBeats) *
+                      _bus.dataBytes);
     _reservedBeats += beats;
 
     _reqAddr += txn_bytes;
@@ -197,6 +199,8 @@ Reader::drainToCore()
             txn.bytes.size() ==
                 static_cast<std::size_t>(txn.beats) * _bus.dataBytes) {
             _reservedBeats -= txn.beats;
+            txn.bytes.clear();
+            _spareBytes = std::move(txn.bytes);
             _txns.pop_front();
         }
     }

@@ -100,6 +100,8 @@ class Reader : public Module
     u64 _streamBytes = 0;   ///< length of the active command
 
     std::deque<Txn> _txns;      ///< in issue (= address) order
+    /** The last drained burst's byte buffer, reused by the next issue. */
+    std::vector<u8> _spareBytes;
     std::size_t _reservedBeats = 0;
     Bytes _wordStage;           ///< width-converter staging bytes
 

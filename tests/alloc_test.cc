@@ -3,8 +3,9 @@
  * Allocation gates for the per-cycle simulation path. Heap allocation
  * counts are deterministic, so these are exact (or, for a whole SoC,
  * tight) bounds with no noise floor: TimedQueue round trips, scratchpad
- * port accesses and wake-wheel traffic allocate nothing once warm, and
- * a GeMM SoC's steady state stays within a fixed per-cycle budget.
+ * port accesses, wake-wheel traffic and DRAM bursts allocate nothing
+ * once warm, and a GeMM SoC's steady state stays within a fixed
+ * per-cycle budget.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "axi/axi_types.h"
 #include "base/rng.h"
 #include "baselines/machsuite_golden.h"
+#include "dram/controller.h"
 #include "mem/scratchpad.h"
 #include "perf/kpi.h"
 #include "platform/sim_platform.h"
@@ -161,6 +163,61 @@ TEST(AllocGate, WakeWheelAllocatesNothingOnceWarm)
     EXPECT_GT(delivered, 15000u);
 }
 
+TEST(AllocGate, DramBurstsAllocateNothingOnceWarm)
+{
+    // 16-beat reads and writes on four AXI IDs each, up to 16 in flight
+    // per direction, over a fixed set of addresses: once warm, every
+    // burst reuses a retired burst's storage and every fresh ID queue a
+    // retired one's node. Traffic keeps flowing past the window, so it
+    // holds neither an idle controller nor the final drain.
+    Simulator sim;
+    FunctionalMemory mem;
+    DramController::Config cfg;
+    DramController ctrl(sim, "ddr", cfg, mem);
+    const unsigned bus = cfg.axi.dataBytes;
+    constexpr u64 kWarm = 256, kEnd = kWarm + 2048, kBursts = kEnd + 64;
+    constexpr u32 kBeats = 16;
+    constexpr Addr kWriteBase = Addr(1) << 20;
+    u64 reads = 0, writes = 0, reads_done = 0, writes_done = 0;
+    u32 w_beat = 0; // next beat of the write burst being sent
+    u64 before = 0;
+    while (reads_done < kEnd || writes_done < kEnd) {
+        if (before == 0 && reads_done >= kWarm && writes_done >= kWarm)
+            before = allocsNow();
+        if (reads < kBursts && reads - reads_done < 16 &&
+            ctrl.arPort().canPush()) {
+            ctrl.arPort().push(ReadRequest{static_cast<u32>(reads % 4),
+                                           (reads % 64) * 4096, kBeats,
+                                           sim.nextTag()});
+            ++reads;
+        }
+        if (writes < kBursts && writes - writes_done < 16 &&
+            ctrl.wPort().canPush()) {
+            WriteFlit flit;
+            flit.hasHeader = w_beat == 0;
+            flit.header = {static_cast<u32>(writes % 4),
+                           kWriteBase + (writes % 64) * 4096, kBeats,
+                           sim.nextTag()};
+            flit.beat.data.assign(bus, static_cast<u8>(writes));
+            flit.beat.last = ++w_beat == kBeats;
+            if (flit.beat.last) {
+                w_beat = 0;
+                ++writes;
+            }
+            ctrl.wPort().push(std::move(flit));
+        }
+        if (ctrl.rPort().canPop() && ctrl.rPort().pop().last)
+            ++reads_done;
+        if (ctrl.bPort().canPop()) {
+            ctrl.bPort().pop();
+            ++writes_done;
+        }
+        sim.step();
+    }
+    ASSERT_NE(before, 0u);
+    EXPECT_EQ(allocsNow() - before, 0u);
+}
+
 TEST(AllocGate, GemmSteadyStateAllocationsPerCycle)
 {
     using machsuite::GemmCore;
@@ -209,10 +266,10 @@ TEST(AllocGate, GemmSteadyStateAllocationsPerCycle)
     sim.run(kWindow);
     const double per_cycle = double(allocsNow() - before) / kWindow;
     EXPECT_GT(bmat->count(StallClass::Busy) - busy0, kWindow * 9 / 10);
-    // Measured 50 in the window (0.0042/cycle): the Reader, Writer and
-    // DRAM controller's per-burst bookkeeping. Nothing allocates per
-    // beat, row or cycle.
-    EXPECT_LE(per_cycle, 0.005);
+    // Measured 37 in the window (0.0031/cycle). The DRAM controller and
+    // the Reader recycle their per-burst storage, and nothing allocates
+    // per beat, row or cycle.
+    EXPECT_LE(per_cycle, 0.0031);
 
     resp.get();
     handle.copy_from_fpga(c_mem);

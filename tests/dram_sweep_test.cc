@@ -2,7 +2,8 @@
  * @file
  * Parameterized property sweeps over the DRAM controller: data
  * integrity and AXI legality must hold across timing presets,
- * geometries, scheduler windows, and watermark settings.
+ * geometries (2 to 64 banks), scheduler windows, and watermark
+ * settings.
  */
 
 #include <gtest/gtest.h>
@@ -312,6 +313,8 @@ const std::map<std::string, ConcurrentPin> kConcurrentPins = {
     {"frequentRefresh", {19535, 0xb5a25bde533b2e1fULL}},
     {"smallGeometry", {19073, 0xd889e2d5300c5bd7ULL}},
     {"fewOutstanding", {17469, 0x6b35628fa9d3d923ULL}},
+    {"kria", {16744, 0x875e4abd512bbd65ULL}},
+    {"wideGeometry", {14790, 0x83e383fda09d3b1aULL}},
 };
 
 TEST_P(DramSweep, ConcurrentTrafficIntegrityLegalityAndPins)
@@ -336,6 +339,8 @@ const std::map<std::string, ConcurrentPin> kTrickledPins = {
     {"frequentRefresh", {30081, 0x79096f936eb72b5bULL}},
     {"smallGeometry", {30110, 0x6aaf98fc41dcb5bcULL}},
     {"fewOutstanding", {30790, 0x059aa816404d833eULL}},
+    {"kria", {28924, 0xa5906b539c462efbULL}},
+    {"wideGeometry", {29215, 0x1a8407bf6049f241ULL}},
 };
 
 TEST_P(DramSweep, TrickledWritesManyIdsPins)
@@ -379,6 +384,23 @@ INSTANTIATE_TEST_SUITE_P(
                   [](auto &c) {
                       c.maxOutstandingReads = 2;
                       c.maxOutstandingWrites = 2;
+                  }),
+        // KriaPlatform's channel: 8 banks behind a 16-byte bus.
+        makeParam("kria",
+                  [](auto &c) {
+                      c.axi.dataBytes = 16;
+                      c.timing = DramTiming::lpddr4_embedded();
+                      c.geometry.nBankGroups = 2;
+                      c.geometry.banksPerGroup = 4;
+                      c.geometry.rowBytesPerBank = 4096;
+                      c.geometry.interleaveBytes = 16;
+                  }),
+        // 64 banks, the most the controller takes: the last one is the
+        // top bit of its bank masks.
+        makeParam("wideGeometry",
+                  [](auto &c) {
+                      c.geometry.nBankGroups = 8;
+                      c.geometry.banksPerGroup = 8;
                   })),
     [](const auto &info) { return std::string(info.param.name); });
 

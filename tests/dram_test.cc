@@ -309,6 +309,52 @@ TEST(DramController, RejectsWriteBurstOverrun)
     EXPECT_DEATH({ h.sim.run(8); }, "overruns its 2-beat write burst");
 }
 
+TEST(DramController, RejectsUnmappableGeometry)
+{
+    // mapAddress() divides by the bank count and the row's column
+    // count, and the scheduler keeps one bit per bank in a 64-bit mask.
+    struct Case
+    {
+        const char *field;
+        DramGeometry geometry;
+    };
+    auto with = [](auto tweak) {
+        DramGeometry g;
+        tweak(g);
+        return g;
+    };
+    const Case cases[] = {
+        {"nBankGroups is 0", with([](auto &g) { g.nBankGroups = 0; })},
+        {"banksPerGroup is 0", with([](auto &g) { g.banksPerGroup = 0; })},
+        {"interleaveBytes is 0",
+         with([](auto &g) { g.interleaveBytes = 0; })},
+        {"rowBytesPerBank 32 is below interleaveBytes 64",
+         with([](auto &g) { g.rowBytesPerBank = 32; })},
+        {"nBankGroups 32 x banksPerGroup 4 exceeds the controller's 64 "
+         "banks",
+         with([](auto &g) { g.nBankGroups = 32; })},
+    };
+    for (const Case &c : cases) {
+        Simulator sim;
+        FunctionalMemory mem;
+        DramController::Config cfg;
+        cfg.geometry = c.geometry;
+        try {
+            DramController ctrl(sim, "ddr", cfg, mem);
+            ADD_FAILURE() << "accepted a geometry where " << c.field;
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+                << e.what();
+        }
+    }
+    // The widest geometry it takes: 64 banks.
+    Simulator sim;
+    FunctionalMemory mem;
+    DramController::Config cfg;
+    cfg.geometry.nBankGroups = 16;
+    EXPECT_NO_THROW(DramController(sim, "ddr", cfg, mem));
+}
+
 TEST(DramController, SameTagOnTwoIdsCompletesBoth)
 {
     // Tags are opaque labels: two in-flight reads may share one.

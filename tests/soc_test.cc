@@ -221,6 +221,85 @@ TEST(Soc, PureComputeAcceleratorHasNoMemoryFabric)
               42u);
 }
 
+/** store(row, value) writes value into lut; load(row) answers with it. */
+class LutCore : public AcceleratorCore
+{
+  public:
+    explicit LutCore(const CoreContext &ctx)
+        : AcceleratorCore(ctx), _lut(getScratchpad("lut"))
+    {}
+
+    void
+    tick() override
+    {
+        if (_respond) {
+            if (respond(_cmd, _value))
+                _respond = false;
+            return;
+        }
+        if (_loading) {
+            if (_lut.respPort(0).canPop()) {
+                const SpadResponse r = _lut.respPort(0).pop();
+                _value = 0;
+                for (unsigned b = 0; b < 4; ++b)
+                    _value |= u64(r.data[b]) << (8 * b);
+                _loading = false;
+                _respond = true;
+            }
+            return;
+        }
+        if (!_lut.reqPort(0).canPush())
+            return;
+        if (auto cmd = pollCommand()) {
+            _cmd = *cmd;
+            SpadRequest req;
+            req.row = static_cast<u32>(_cmd.args[0]);
+            req.write = _cmd.commandId == 0;
+            if (req.write) {
+                req.data.assign(_lut.params().rowBytes(), 0);
+                for (unsigned b = 0; b < 4; ++b)
+                    req.data[b] = static_cast<u8>(_cmd.args[1] >> (8 * b));
+                _value = 0;
+                _respond = true;
+            } else {
+                _loading = true;
+            }
+            _lut.reqPort(0).push(std::move(req));
+        }
+    }
+
+  private:
+    Scratchpad &_lut;
+    DecodedCommand _cmd;
+    u64 _value = 0;
+    bool _loading = false;
+    bool _respond = false;
+};
+
+TEST(Soc, ScratchpadOnlySystemBuildsItsMemory)
+{
+    // No read or write channel, so no AXI endpoint at all: the system's
+    // only memory is Appendix A's manually-managed Memory(...).
+    SimulationPlatform platform;
+    AcceleratorSystemConfig sys;
+    sys.name = "Lut";
+    sys.moduleConstructor = [](const CoreContext &ctx) {
+        return std::make_unique<LutCore>(ctx);
+    };
+    sys.scratchpads.push_back(Memory("lut", 2, 36, 4096, 1, 1));
+    sys.commands.push_back(CommandSpec(
+        "store",
+        {CommandField::uint("row", 16), CommandField::uint("value", 32)}));
+    sys.commands.push_back(
+        CommandSpec("load", {CommandField::uint("row", 16)}, 32));
+    AcceleratorSoc soc(AcceleratorConfig(sys), platform);
+    RuntimeServer server(soc);
+    fpga_handle_t handle(server);
+
+    handle.invoke("Lut", "store", 0, {4000, 0xC0FFEE}).get();
+    EXPECT_EQ(handle.invoke("Lut", "load", 0, {4000}).get(), 0xC0FFEEu);
+}
+
 TEST(Soc, TraceRecordsEndToEndCommandSpan)
 {
     // Dispatch one vecadd command with a sink attached and check the

@@ -1,14 +1,17 @@
 #!/bin/sh
 # Interleaved A/B of the repository benchmark between two commits.
 #
-# Usage: tools/perf_ab.sh [--workload=W[,W...]] [--pairs=N] BASE [HEAD]
+# Usage: tools/perf_ab.sh [--workload=W[,W...]] [--pairs=N] [--seed=N]
+#                         BASE [HEAD]
 #   BASE, HEAD  commits to compare (HEAD defaults to HEAD)
 #   --workload  machsuite, memcpy_stream and/or fuzz (default: all)
 #   --pairs     runs per commit and workload (default 5)
+#   --seed      perfbench seed (default 1, the pinned one); a hold-out
+#               seed checks a claim on inputs it was not tuned on
 #
 # Both commits are cloned with `git clone --shared` into a temporary
 # directory and perfbench is built in each. Every pair then runs
-#   python3 perfbench/run.py --workload W --seed 1 --seconds 30 --trace 0
+#   python3 perfbench/run.py --workload W --seed N --seconds 30 --trace 0
 # once in each clone, base first in odd pairs and head first in even
 # ones, so host drift falls on both sides alike. For every end-to-end
 # metric the summary prints both commits' medians and quartiles, scaled
@@ -20,11 +23,12 @@
 set -eu
 
 usage() {
-    sed -n '4,7p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '4,10p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 workloads="machsuite memcpy_stream fuzz"
 pairs=5
+seed=1
 base=""
 head=""
 for arg in "$@"; do
@@ -47,6 +51,12 @@ for arg in "$@"; do
             pairs=${arg#--pairs=}
             case $pairs in
                 '' | *[!0-9]* | 0) echo "perf_ab: bad --pairs '$pairs'" >&2; exit 2 ;;
+            esac
+            ;;
+        --seed=*)
+            seed=${arg#--seed=}
+            case $seed in
+                '' | *[!0-9]*) echo "perf_ab: bad --seed '$seed'" >&2; exit 2 ;;
             esac
             ;;
         -*)
@@ -89,14 +99,14 @@ first=${workloads%% *}
 for side in base head; do
     echo "perf_ab: building $side" >&2
     (cd "$tmp/$side" && python3 perfbench/run.py --workload "$first" \
-        --seed 1 --seconds 0 --trace 0 > "$tmp/out/build.$side.txt") ||
+        --seed "$seed" --seconds 0 --trace 0 > "$tmp/out/build.$side.txt") ||
         { echo "perf_ab: $side failed to build or run" >&2; exit 1; }
 done
 
 run() { # side workload pair
     echo "perf_ab: $2 pair $3/$pairs $1" >&2
-    (cd "$tmp/$1" && python3 perfbench/run.py --workload "$2" --seed 1 \
-        --seconds 30 --trace 0 > "$tmp/out/$2.$1.$3.txt") ||
+    (cd "$tmp/$1" && python3 perfbench/run.py --workload "$2" \
+        --seed "$seed" --seconds 30 --trace 0 > "$tmp/out/$2.$1.$3.txt") ||
         { echo "perf_ab: $2 run failed on $1" >&2; exit 1; }
 }
 
@@ -116,11 +126,11 @@ done
 
 compiler=$(${CXX:-c++} --version 2>/dev/null | head -n 1)
 python3 - "$tmp/out" "$pairs" "$base_sha" "$head_sha" "$compiler" \
-    "$(nproc)" $workloads <<'EOF'
+    "$(nproc)" "$seed" $workloads <<'EOF'
 import json, os, re, statistics, sys
 
-out, pairs, base, head, compiler, cores = sys.argv[1:7]
-workloads, pairs = sys.argv[7:], int(pairs)
+out, pairs, base, head, compiler, cores, seed = sys.argv[1:8]
+workloads, pairs = sys.argv[8:], int(pairs)
 HIGHER = {"sim_cps"}
 
 def iqr(xs):
@@ -140,7 +150,7 @@ def load(path):
 
 print(f"perf_ab: base {base} head {head}")
 print(f"perf_ab: compiler {compiler}; nproc {cores}; {pairs} interleaved "
-      "pairs of `run.py --seed 1 --seconds 30 --trace 0`")
+      f"pairs of `run.py --seed {seed} --seconds 30 --trace 0`")
 failed = 0
 for w in workloads:
     runs = {s: [load(os.path.join(out, f"{w}.{s}.{p}.txt"))

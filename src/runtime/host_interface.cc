@@ -13,12 +13,16 @@ HostInterface::HostInterface(Simulator &sim, std::string name,
       _mmio(mmio),
       _mem(mem),
       _platform(platform)
-{}
+{
+    declareSleepable();
+    declareSelfWake();
+}
 
 void
 HostInterface::enqueue(HostOp op)
 {
     _queue.push_back(std::move(op));
+    sim().wakeNow(this);
 }
 
 Cycle
@@ -65,25 +69,28 @@ HostInterface::perform(HostOp &op)
 void
 HostInterface::tick()
 {
-    if (_inFlight) {
-        ++_busyCycles;
-        if (sim().cycle() + 1 >= _completesAt) {
-            perform(_current);
-            _inFlight = false;
+    const Cycle now = sim().cycle();
+    if (!_inFlight) {
+        if (_queue.empty()) {
+            requestSleep(); // enqueue() wakes us
+            return;
         }
+        _current = std::move(_queue.front());
+        _queue.pop_front();
+        _inFlight = true;
+        _completesAt = now + costOf(_current);
+    }
+    if (now + 1 < _completesAt) {
+        // Nothing happens until the op's last cycle.
+        requestWakeAt(_completesAt - 1);
+        requestSleep();
         return;
     }
+    perform(_current);
+    _inFlight = false;
+    // The next op starts on the next tick.
     if (_queue.empty())
-        return;
-    _current = std::move(_queue.front());
-    _queue.pop_front();
-    _inFlight = true;
-    _completesAt = sim().cycle() + costOf(_current);
-    ++_busyCycles;
-    if (sim().cycle() + 1 >= _completesAt) {
-        perform(_current);
-        _inFlight = false;
-    }
+        requestSleep();
 }
 
 } // namespace beethoven

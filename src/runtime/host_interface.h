@@ -48,7 +48,10 @@ class HostInterface : public Module
                   MmioCommandSystem &mmio, FunctionalMemory &mem,
                   const Platform &platform);
 
-    /** Queue an operation; completes after its modeled latency. */
+    /**
+     * Queue an operation; completes after its modeled latency. Wakes
+     * the interface, which sleeps while it has nothing queued.
+     */
     void enqueue(HostOp op);
 
     bool idle() const { return !_inFlight && _queue.empty(); }
@@ -56,9 +59,6 @@ class HostInterface : public Module
     {
         return _queue.size() + (_inFlight ? 1 : 0);
     }
-
-    /** Total cycles the link spent busy (for utilization stats). */
-    u64 busyCycles() const { return _busyCycles; }
 
     void tick() override;
 
@@ -74,7 +74,6 @@ class HostInterface : public Module
     bool _inFlight = false;
     HostOp _current;
     Cycle _completesAt = 0;
-    u64 _busyCycles = 0;
 };
 
 } // namespace beethoven

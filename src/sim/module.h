@@ -57,9 +57,6 @@ class Module
     /** Registration order; also the tick order within a cycle. */
     std::size_t index() const { return _index; }
 
-    /** False while quiescent under the event kernel. */
-    bool awake() const { return _awake; }
-
   protected:
     /**
      * Declare quiescence: under the event kernel the module is not
@@ -112,8 +109,7 @@ class Module
     Simulator &_sim;
     std::string _name;
     std::size_t _index = 0;
-    bool _awake = true;
-    /** Dedup guard: last wheel cycle a wake was armed for (0 = none). */
+    /** Dedup guard: last cycle a wake was armed for (0 = none). */
     Cycle _lastScheduledWake = 0;
     bool _sleepDeclared = false;
     bool _selfWakeDeclared = false;

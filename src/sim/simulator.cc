@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <bit>
 #include <iostream>
 
 #include "base/log.h"
@@ -118,9 +119,10 @@ Simulator::setKernel(SimKernel k)
     if (k == SimKernel::Event) {
         // Conservative start: everything awake, quiescence re-forms as
         // modules discover they have nothing to do. Stale wheel entries
-        // from an earlier event phase only cause spurious wakes.
-        for (Module *m : _modules)
-            m->_awake = true;
+        // and next-cycle bits from an earlier event phase only cause
+        // spurious wakes.
+        for (std::size_t i = 0; i < _modules.size(); ++i)
+            awakeWord(i / 64) |= bit(i);
     }
 }
 
@@ -128,15 +130,16 @@ void
 Simulator::wakeNow(Module *m)
 {
     gSimThreadRole.assertHeld();
-    if (_kernel == SimKernel::Tick || m->_awake)
+    const std::size_t i = m->_index;
+    if (_kernel == SimKernel::Tick || (awakeWord(i / 64) & bit(i)) != 0)
         return;
-    if (_inTickPhase && m->_index <= _cursor) {
+    if (_inTickPhase && i <= _cursor) {
         // The module already ticked this cycle (or is mid-tick): the
         // earliest it could observe the event under the tick kernel is
-        // next cycle, so defer the wake to the wheel.
+        // next cycle, so defer the wake to the next-cycle mask.
         scheduleWake(m, _cycle + 1);
     } else {
-        m->_awake = true;
+        awakeWord(i / 64) |= bit(i);
     }
 }
 
@@ -157,22 +160,28 @@ void
 Simulator::scheduleWake(Module *m, Cycle at)
 {
     if (m->_lastScheduledWake == at)
-        return; // a wheel entry for this cycle is already armed
+        return; // a wake for this cycle is already armed
     m->_lastScheduledWake = at;
     ++_scheduledWakes;
     if (_plantLostWakePeriod != 0 &&
         _scheduledWakes % _plantLostWakePeriod == 0) {
         return; // planted fault: this wake is silently lost
     }
-    _wheel.schedule(_cycle, at, m);
+    // Between steps, cycle+1 is two steps ahead, so only a tick's wake
+    // for the next cycle may skip the wheel.
+    if (_inTickPhase && at == _cycle + 1)
+        nextWord(m->_index / 64) |= bit(m->_index);
+    else
+        _wheel.schedule(_cycle, at, m);
 }
 
 std::size_t
 Simulator::activeModules() const
 {
+    gSimThreadRole.assertHeld();
     std::size_t n = 0;
-    for (const Module *m : _modules)
-        n += m->_awake ? 1 : 0;
+    for (std::size_t w = 0; w < _masks.size(); w += 2)
+        n += std::popcount(_masks[w]);
     return n;
 }
 
@@ -180,20 +189,30 @@ std::size_t
 Simulator::pendingWakes() const
 {
     gSimThreadRole.assertHeld();
-    return _wheel.pending();
+    std::size_t n = _wheel.pending();
+    for (std::size_t w = 1; w < _masks.size(); w += 2)
+        n += std::popcount(_masks[w]);
+    return n;
 }
 
 void
 Simulator::step()
 {
     gSimThreadRole.assertHeld();
-    // The tick kernel ticks every module; it never reads the awake
-    // flags, so the differential reference stays independent of the
-    // wake machinery. The event kernel drains due wakes and skips
-    // sleepers.
+    // The tick kernel ticks every module; it never reads the masks,
+    // so the differential reference stays independent of the wake
+    // machinery. The event kernel takes in the wakes due now and ticks
+    // only the awake modules.
     const bool event = _kernel == SimKernel::Event;
-    if (event)
-        _wheel.drain(_cycle, [](Module *m) { m->_awake = true; });
+    if (event) {
+        for (std::size_t w = 0; w < _masks.size(); w += 2) {
+            _masks[w] |= _masks[w + 1];
+            _masks[w + 1] = 0;
+        }
+        _wheel.drain(_cycle, [this](Module *m) {
+            awakeWord(m->_index / 64) |= bit(m->_index);
+        });
+    }
 
     // On a cycle the profiler measures, one clock read follows each
     // tick that runs, so per-component times are disjoint slices of
@@ -211,17 +230,24 @@ Simulator::step()
 
     _inTickPhase = true;
     u64 ticks = 0;
-    for (std::size_t i = 0; i < _modules.size(); ++i) {
-        Module *m = _modules[i];
-        if (event && !m->_awake)
-            continue;
-        _cursor = i;
-        m->tick();
-        ++ticks;
-        if (measured) {
-            const u64 t_now = hostNowNs();
-            _hostProf->add(_profIds[i], t_now - t_prev);
-            t_prev = t_now;
+    const std::size_t n = _modules.size();
+    for (std::size_t w = 0; w * 64 < n; ++w) {
+        // The tick kernel walks a full word in place of the mask.
+        const u64 all = n - w * 64 >= 64 ? ~u64(0) : bit(n) - 1;
+        // Re-read the word after every tick: a tick may wake a module
+        // later in tick order, which then ticks this cycle.
+        for (u64 bits = event ? awakeWord(w) : all; bits != 0;) {
+            const unsigned b = std::countr_zero(bits);
+            const std::size_t i = w * 64 + b;
+            _cursor = i;
+            _modules[i]->tick();
+            ++ticks;
+            if (measured) {
+                const u64 t_now = hostNowNs();
+                _hostProf->add(_profIds[i], t_now - t_prev);
+                t_prev = t_now;
+            }
+            bits = (event ? awakeWord(w) : all) & (~u64(1) << b);
         }
     }
     _inTickPhase = false;

@@ -70,7 +70,7 @@ class Invariant
 enum class SimKernel
 {
     Tick, ///< tick every module every cycle (the naive reference)
-    Event ///< tick only awake modules; sleepers wait on the wake wheel
+    Event ///< tick only awake modules; sleepers wait for a wake
 };
 
 const char *simKernelName(SimKernel k);
@@ -90,11 +90,20 @@ class Simulator
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /** Register a module for ticking (called by Module's constructor). */
+    /**
+     * Register a module for ticking (called by Module's constructor).
+     * It starts awake.
+     */
     void registerModule(Module *m)
     {
+        gSimThreadRole.assertHeld();
         m->_index = _modules.size();
         _modules.push_back(m);
+        if (m->_index % 64 == 0) {
+            _masks.push_back(0); // awake
+            _masks.push_back(0); // next cycle
+        }
+        awakeWord(m->_index / 64) |= bit(m->_index);
         _graph.noteModule(m);
     }
 
@@ -172,8 +181,9 @@ class Simulator
      * Wake @p m so it observes an event staged this cycle. Mirrors the
      * tick kernel's visibility exactly: a module at or before the
      * current tick cursor has already run this cycle, so its wake is
-     * deferred to the wheel at cycle+1; a module after the cursor (or
-     * a wake arriving outside the tick phase) is woken in place.
+     * deferred to cycle+1 via the next-cycle mask; a module after the
+     * cursor (or a wake arriving outside the tick phase) is woken in
+     * place.
      * No-op under the tick kernel or when @p m is already awake.
      */
     void wakeNow(Module *m);
@@ -186,19 +196,27 @@ class Simulator
     void wakeAt(Module *m, Cycle at);
 
     /** Mark @p m quiescent (the Module::requestSleep back end). */
-    void sleepModule(Module *m) { m->_awake = false; }
+    void
+    sleepModule(Module *m)
+    {
+        gSimThreadRole.assertHeld();
+        awakeWord(m->_index / 64) &= ~bit(m->_index);
+    }
 
     /** Modules awake right now (the event kernel's active set size). */
     std::size_t activeModules() const;
 
-    /** Wakes armed on the wheel and not yet delivered. */
+    /**
+     * Armed wakes not yet delivered: the wheel's entries plus the
+     * modules set in the next-cycle mask.
+     */
     std::size_t pendingWakes() const;
 
     /**
      * Fault injection for the differential harness: silently drop
-     * every @p period-th wheel-armed wake (0 disables). A dropped wake
-     * makes a sleeper oversleep, which the tick-vs-event differential
-     * check must surface as a digest mismatch or hang.
+     * every @p period-th scheduled future wake (0 disables). A dropped
+     * wake makes a sleeper oversleep, which the tick-vs-event
+     * differential check must surface as a digest mismatch or hang.
      */
     void plantLostWakes(u64 period)
     {
@@ -337,8 +355,19 @@ class Simulator
     static constexpr Cycle kSampleWindow = 1024;
 
   private:
-    /** Wheel-arm a wake with dedup and planted-fault accounting. */
+    /**
+     * Arm a future wake with dedup and planted-fault accounting, in the
+     * next-cycle mask when a tick arms it for cycle+1, else on the
+     * wheel.
+     */
     void scheduleWake(Module *m, Cycle at) BTH_REQUIRES(gSimThreadRole);
+
+    /** Module @p i's bit in its mask word (word i / 64). */
+    static u64 bit(std::size_t i) { return u64(1) << (i % 64); }
+
+    /** Word @p w of the awake mask and of the next-cycle mask. */
+    u64 &awakeWord(std::size_t w) { return _masks[2 * w]; }
+    u64 &nextWord(std::size_t w) { return _masks[2 * w + 1]; }
 
     /** The window-boundary work described at kSampleWindow. */
     void sampleWindow();
@@ -347,6 +376,15 @@ class Simulator
     u64 _nextTag = 1;
     SimKernel _kernel = SimKernel::Event;
     std::vector<Module *> _modules;
+    /**
+     * Two masks of one bit per module in tick order, 64 to a word,
+     * with word w of each side by side: the awake mask (the modules the
+     * event kernel ticks this cycle) and the next-cycle mask (wakes a
+     * tick armed for the next cycle, which step() ORs in). The tick
+     * kernel never reads them.
+     */
+    std::vector<u64> _masks BTH_GUARDED_BY(gSimThreadRole);
+    /** Wakes two or more cycles out, or armed between steps. */
     WakeWheel _wheel BTH_GUARDED_BY(gSimThreadRole);
     bool _inTickPhase BTH_GUARDED_BY(gSimThreadRole) = false;
     /** Index of the module currently ticking. */

@@ -6,7 +6,10 @@
  * indexed by cycle modulo the wheel size (O(1) schedule and drain),
  * wakes more than a revolution away overflow into a min-heap. The
  * simulator drains the wheel once per cycle, in cycle order, so a
- * module woken for cycle C is awake before cycle C's tick phase.
+ * module woken for cycle C is awake before cycle C's tick phase. It
+ * holds the wakes two or more cycles out and those armed between
+ * steps; a tick's wakes for the next cycle bypass it (Simulator's
+ * next-cycle mask).
  *
  * Entries are (cycle, module) pairs; duplicates are allowed (draining
  * an already-awake module is a harmless no-op), which lets producers
@@ -14,7 +17,7 @@
  * list threaded through one entry pool with a free list, so once the
  * pool has grown to the peak number of armed wakes, scheduling and
  * draining allocate nothing. The order of entries within a slot is
- * unobservable: draining only sets awake flags.
+ * unobservable: draining only sets awake bits.
  */
 
 #ifndef BEETHOVEN_SIM_WAKE_WHEEL_H
@@ -39,6 +42,9 @@ class WakeWheel
     explicit WakeWheel(std::size_t slots = 1024) : _heads(slots, kNone)
     {
         beethoven_assert(slots >= 2, "wake wheel needs >= 2 slots");
+        // Room for more wakes than the benchmark's SoCs arm at once,
+        // so the pool's first growth does not land mid-run.
+        _pool.reserve(64);
     }
 
     /**

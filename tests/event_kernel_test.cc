@@ -4,12 +4,15 @@
  * overflow heap, modulo aliasing), the queue wake/re-arm contract under
  * both registration orders, self-scheduled wakes out of full
  * quiescence, the watchdog's interaction with an emptied active set,
- * and stall conservation when slept gaps are backfilled with the
- * class the module went quiescent in.
+ * stall conservation when slept gaps are backfilled with the class the
+ * module went quiescent in, and awake-mask wakes across mask words.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -302,6 +305,164 @@ TEST(EventKernel, PlantedLostWakeStallsTheConsumer)
     sim.plantLostWakes(2); // drop every 2nd scheduled wake
     sim.run(200);
     EXPECT_LT(cons.popped(), 10);
+}
+
+/** Sleeps on its first tick and is never woken again. */
+class Filler : public Module
+{
+  public:
+    Filler(Simulator &sim, std::string name) : Module(sim, std::move(name))
+    {
+        declareSleepable();
+    }
+    void tick() override { requestSleep(); }
+};
+
+/** A SleepyConsumer that records the cycles it ticks and pops in. */
+class RecordingConsumer : public Module
+{
+  public:
+    RecordingConsumer(Simulator &sim, std::string name, TimedQueue<int> &in)
+        : Module(sim, std::move(name)), _in(in)
+    {
+        declareSleepable();
+        _in.setWakeOnPush(this);
+    }
+
+    void
+    tick() override
+    {
+        ticks.push_back(sim().cycle());
+        if (_in.canPop())
+            pops.push_back({sim().cycle(), _in.pop()});
+        else
+            requestSleep();
+    }
+
+    std::vector<Cycle> ticks;
+    std::vector<std::pair<Cycle, int>> pops;
+
+  private:
+    TimedQueue<int> &_in;
+};
+
+/** Pushes to every queue at each multiple of @p period, then sleeps. */
+class FanoutProducer : public Module
+{
+  public:
+    FanoutProducer(Simulator &sim, std::deque<TimedQueue<int>> &outs,
+                   Cycle period, int count)
+        : Module(sim, "fanout"), _outs(outs), _period(period),
+          _left(count)
+    {
+        declareSleepable();
+        declareSelfWake();
+    }
+
+    void
+    tick() override
+    {
+        if (_left > 0 && sim().cycle() % _period == 0) {
+            for (TimedQueue<int> &q : _outs)
+                if (q.canPush())
+                    q.push(_left);
+            --_left;
+        }
+        if (_left > 0)
+            requestWakeAt((sim().cycle() / _period + 1) * _period);
+        requestSleep();
+    }
+
+  private:
+    std::deque<TimedQueue<int>> &_outs;
+    Cycle _period;
+    int _left;
+};
+
+/**
+ * 130 modules fill three mask words. The producer at index 70 feeds
+ * consumers at 5 (already ticked: its push wake waits for the next
+ * cycle), 71 and 127 (later in the producer's own word) and 128 (the
+ * first bit of the next word); every other module sleeps for good.
+ */
+struct MaskFixture
+{
+    static constexpr std::size_t kModules = 130;
+    static constexpr std::size_t kProducer = 70;
+    static constexpr std::size_t kConsumerAt[] = {5, 71, 127, 128};
+
+    explicit MaskFixture(SimKernel kernel)
+    {
+        for (std::size_t i = 0; i < std::size(kConsumerAt); ++i)
+            queues.emplace_back(sim, 2);
+        std::size_t next_queue = 0;
+        for (std::size_t i = 0; i < kModules; ++i) {
+            const std::string name = "m" + std::to_string(i);
+            if (i == kProducer) {
+                mods.push_back(std::make_unique<FanoutProducer>(
+                    sim, queues, 7, 5));
+            } else if (next_queue < std::size(kConsumerAt) &&
+                       i == kConsumerAt[next_queue]) {
+                auto c = std::make_unique<RecordingConsumer>(
+                    sim, name, queues[next_queue++]);
+                consumers.push_back(c.get());
+                mods.push_back(std::move(c));
+            } else {
+                mods.push_back(std::make_unique<Filler>(sim, name));
+            }
+            EXPECT_EQ(mods.back()->index(), i);
+        }
+        sim.setKernel(kernel);
+    }
+
+    Simulator sim;
+    std::deque<TimedQueue<int>> queues;
+    std::vector<std::unique_ptr<Module>> mods;
+    std::vector<RecordingConsumer *> consumers;
+};
+
+TEST(EventKernel, WakesAcrossMaskWordsMatchTick)
+{
+    MaskFixture tick(SimKernel::Tick), event(SimKernel::Event);
+    tick.sim.run(60);
+    event.sim.run(60);
+    for (std::size_t c = 0; c < event.consumers.size(); ++c) {
+        const RecordingConsumer &t = *tick.consumers[c];
+        const RecordingConsumer &e = *event.consumers[c];
+        EXPECT_EQ(e.pops, t.pops) << "consumer " << e.index();
+        EXPECT_EQ(e.pops.size(), 5u) << "consumer " << e.index();
+    }
+    // Each push at cycle 7 wakes 71, 127 and 128 in place, so they
+    // tick in cycle 7 (and pop in 8); 5 ticked before the producer,
+    // so it first ticks in 8.
+    auto ticked = [](const RecordingConsumer *c, Cycle at) {
+        return std::find(c->ticks.begin(), c->ticks.end(), at) !=
+               c->ticks.end();
+    };
+    EXPECT_FALSE(ticked(event.consumers[0], 7));
+    EXPECT_TRUE(ticked(event.consumers[0], 8));
+    for (std::size_t c = 1; c < event.consumers.size(); ++c) {
+        EXPECT_TRUE(ticked(event.consumers[c], 7)) << c;
+        EXPECT_TRUE(ticked(event.consumers[c], 8)) << c;
+    }
+}
+
+TEST(EventKernel, NextCycleWakesArePendingNotActive)
+{
+    MaskFixture f(SimKernel::Event);
+    // Cycle 0: every module ticks once and sleeps; the producer's
+    // pushes leave each consumer a next-cycle wake and the producer
+    // its wheel wake at cycle 7.
+    f.sim.step();
+    EXPECT_EQ(f.sim.activeModules(), 0u);
+    EXPECT_EQ(f.sim.pendingWakes(), 5u);
+    // Cycle 1: the next-cycle wakes are taken in, and every consumer
+    // pops and stays awake.
+    f.sim.step();
+    EXPECT_EQ(f.sim.activeModules(), 4u);
+    EXPECT_EQ(f.sim.pendingWakes(), 1u);
+    for (const RecordingConsumer *c : f.consumers)
+        EXPECT_EQ(c->pops.size(), 1u) << "consumer " << c->index();
 }
 
 } // namespace

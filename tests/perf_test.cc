@@ -254,6 +254,16 @@ TEST(HostProfiler, ProfiledEventRunTicksOnlyAwakeModules)
     EXPECT_LT(ddr->calls, scoped.sampledCycles());
 }
 
+TEST(HostProfiler, EventRunModuleTicksStayBounded)
+{
+    // Module ticks do not depend on host speed, so ctest can gate
+    // them: a module that stops sleeping raises the count. Measured
+    // 1380; with a host interface that ticked on every cycle the run
+    // took 1586.
+    const VecAddRun run = vecAddRun(0xD5EED, SimKernel::Event, nullptr);
+    EXPECT_LE(run.moduleTicks, 1380u);
+}
+
 // ---- run-level KPI sources -----------------------------------------
 
 TEST(Kpi, PeakRssIsPositive)

@@ -45,7 +45,7 @@ class ProducerCore : public AcceleratorCore
     {
         switch (_state) {
           case State::Idle: {
-            auto cmd = pollCommand();
+            auto cmd = awaitCommand();
             if (!cmd)
                 return;
             _cmd = *cmd;
@@ -111,7 +111,7 @@ class ReducerCore : public AcceleratorCore
     {
         switch (_state) {
           case State::Idle: {
-            auto cmd = pollCommand();
+            auto cmd = awaitCommand();
             if (!cmd)
                 return;
             _cmd = *cmd;

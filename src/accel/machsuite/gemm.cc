@@ -52,7 +52,7 @@ GemmCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        auto cmd = awaitCommand();
         if (!cmd)
             return;
         _cmd = *cmd;

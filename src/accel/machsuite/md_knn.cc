@@ -62,7 +62,7 @@ MdKnnCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        auto cmd = awaitCommand();
         if (!cmd)
             return;
         _cmd = *cmd;

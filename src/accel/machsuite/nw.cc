@@ -55,7 +55,7 @@ NwCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        auto cmd = awaitCommand();
         if (!cmd)
             return;
         _cmd = *cmd;

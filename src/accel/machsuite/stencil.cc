@@ -61,7 +61,7 @@ Stencil2dCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        auto cmd = awaitCommand();
         if (!cmd)
             return;
         _cmd = *cmd;
@@ -187,7 +187,7 @@ Stencil3dCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        auto cmd = awaitCommand();
         if (!cmd)
             return;
         _cmd = *cmd;

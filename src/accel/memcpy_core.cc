@@ -50,11 +50,9 @@ MemcpyCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
-        if (!cmd) {
-            accountCycle(StallClass::StallCmd);
+        auto cmd = awaitCommand(StallClass::StallCmd);
+        if (!cmd)
             return;
-        }
         _cmd = *cmd;
         _lastStart = sim().cycle();
         const u64 len = cmd->args[argLenBytes];

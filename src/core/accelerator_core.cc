@@ -12,7 +12,13 @@ AcceleratorCore::AcceleratorCore(const CoreContext &ctx)
     beethoven_assert(_ctx.systemConfig != nullptr,
                      "core %s constructed without a system config",
                      name().c_str());
+    beethoven_assert(_ctx.cmdIn != nullptr,
+                     "core %s constructed without a command queue",
+                     name().c_str());
     declareRole("core");
+    // awaitCommand() sleeps until the next command beat arrives.
+    declareSleepable();
+    _ctx.cmdIn->setWakeOnPush(this);
     for (u32 id = 0; id < _ctx.systemConfig->commands.size(); ++id) {
         _assemblers.emplace(
             id, CommandAssembler(_ctx.systemConfig->commands[id]));
@@ -80,7 +86,7 @@ AcceleratorCore::getIntraCoreMemOut(const std::string &name,
 std::optional<DecodedCommand>
 AcceleratorCore::pollCommand()
 {
-    if (_ctx.cmdIn == nullptr || !_ctx.cmdIn->canPop())
+    if (!_ctx.cmdIn->canPop())
         return std::nullopt;
     const RoccCommand beat = _ctx.cmdIn->pop();
     const u32 cmd_id = beat.commandId();
@@ -99,6 +105,21 @@ AcceleratorCore::pollCommand()
     cmd.expectsResponse = it->second.expectsResponse();
     if (sim().trace() != nullptr)
         _execStart[cmd.rd] = sim().cycle();
+    return cmd;
+}
+
+std::optional<DecodedCommand>
+AcceleratorCore::awaitCommand(StallClass gap)
+{
+    std::optional<DecodedCommand> cmd = pollCommand();
+    if (cmd)
+        return cmd;
+    if (gap != StallClass::Idle)
+        accountCycle(gap);
+    // A multi-beat command's next beat may already be visible; if not,
+    // its push wakes the core.
+    if (!_ctx.cmdIn->canPop())
+        sleepWith(_stall, gap);
     return cmd;
 }
 

@@ -12,8 +12,9 @@
  *
  * Command delivery: RoCC beats arrive on the command queue; the base
  * class assembles multi-beat payloads per the System's CommandSpecs
- * and exposes completed commands through pollCommand(). Responses are
- * sent with respond().
+ * and exposes completed commands through awaitCommand(), which lets an
+ * idle core sleep until the next beat, or pollCommand(), which keeps
+ * the core awake. Responses are sent with respond().
  */
 
 #ifndef BEETHOVEN_CORE_ACCELERATOR_CORE_H
@@ -76,10 +77,9 @@ class AcceleratorCore : public Module
     u32 coreIdx() const { return _ctx.coreIdx; }
 
     /**
-     * Cycles this core classified as Busy via accountCycle. Busy is
-     * counted incrementally (only Idle is lazily backfilled), so this
-     * is an accurate cumulative activity count mid-run — the power
-     * ledger's per-core dynamic-energy source.
+     * Cycles this core classified as Busy via accountCycle. Like
+     * every StallAccount::count, it reads the same under both kernels
+     * mid-run — the power ledger's per-core dynamic-energy source.
      */
     u64 busyCycles() const { return _stall.count(StallClass::Busy); }
 
@@ -94,9 +94,21 @@ class AcceleratorCore : public Module
 
     /**
      * Check for a completed command. Beats of multi-beat commands are
-     * consumed across calls; a command is returned exactly once.
+     * consumed across calls; a command is returned exactly once. A core
+     * that polls stays awake every cycle.
      */
     std::optional<DecodedCommand> pollCommand();
+
+    /**
+     * pollCommand() for a core with nothing else to do. When no
+     * command completes, it classifies the cycle as @p gap (unless
+     * Idle) and, if no further beat is visible, sleeps with @p gap
+     * until the command queue's next push. @p gap must be what the
+     * core would classify on each such cycle, so both kernels publish
+     * the same taxonomy.
+     */
+    std::optional<DecodedCommand>
+    awaitCommand(StallClass gap = StallClass::Idle);
 
     /**
      * Send a completion/response for @p cmd. @return false when the

@@ -46,21 +46,6 @@ Scratchpad::Scratchpad(Simulator &sim, std::string name,
     }
 }
 
-TimedQueue<SpadRequest> &
-Scratchpad::reqPort(unsigned idx)
-{
-    beethoven_assert(idx < _reqPorts.size(), "port %u out of range", idx);
-    return *_reqPorts[idx];
-}
-
-TimedQueue<SpadResponse> &
-Scratchpad::respPort(unsigned idx)
-{
-    beethoven_assert(idx < _respPorts.size(), "port %u out of range",
-                     idx);
-    return *_respPorts[idx];
-}
-
 TimedQueue<SpadInitCommand> &
 Scratchpad::initPort()
 {

@@ -77,9 +77,25 @@ class Scratchpad : public Module
     Scratchpad(Simulator &sim, std::string name,
                const ScratchpadParams &params, Reader *init_reader);
 
-    /** Port @p idx request/response queues. */
-    TimedQueue<SpadRequest> &reqPort(unsigned idx);
-    TimedQueue<SpadResponse> &respPort(unsigned idx);
+    /**
+     * Port @p idx request/response queues. Defined here so each core
+     * access to a port inlines.
+     */
+    TimedQueue<SpadRequest> &
+    reqPort(unsigned idx)
+    {
+        beethoven_assert(idx < _reqPorts.size(), "port %u out of range",
+                         idx);
+        return *_reqPorts[idx];
+    }
+
+    TimedQueue<SpadResponse> &
+    respPort(unsigned idx)
+    {
+        beethoven_assert(idx < _respPorts.size(), "port %u out of range",
+                         idx);
+        return *_respPorts[idx];
+    }
 
     /** Init channel (valid only when supportsInit). */
     TimedQueue<SpadInitCommand> &initPort();

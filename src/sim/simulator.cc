@@ -127,52 +127,9 @@ Simulator::setKernel(SimKernel k)
 }
 
 void
-Simulator::wakeNow(Module *m)
+Simulator::wheelWake(Module *m, Cycle at)
 {
-    gSimThreadRole.assertHeld();
-    const std::size_t i = m->_index;
-    if (_kernel == SimKernel::Tick || (awakeWord(i / 64) & bit(i)) != 0)
-        return;
-    if (_inTickPhase && i <= _cursor) {
-        // The module already ticked this cycle (or is mid-tick): the
-        // earliest it could observe the event under the tick kernel is
-        // next cycle, so defer the wake to the next-cycle mask.
-        scheduleWake(m, _cycle + 1);
-    } else {
-        awakeWord(i / 64) |= bit(i);
-    }
-}
-
-void
-Simulator::wakeAt(Module *m, Cycle at)
-{
-    gSimThreadRole.assertHeld();
-    if (_kernel == SimKernel::Tick)
-        return;
-    if (at <= _cycle) {
-        wakeNow(m);
-        return;
-    }
-    scheduleWake(m, at);
-}
-
-void
-Simulator::scheduleWake(Module *m, Cycle at)
-{
-    if (m->_lastScheduledWake == at)
-        return; // a wake for this cycle is already armed
-    m->_lastScheduledWake = at;
-    ++_scheduledWakes;
-    if (_plantLostWakePeriod != 0 &&
-        _scheduledWakes % _plantLostWakePeriod == 0) {
-        return; // planted fault: this wake is silently lost
-    }
-    // Between steps, cycle+1 is two steps ahead, so only a tick's wake
-    // for the next cycle may skip the wheel.
-    if (_inTickPhase && at == _cycle + 1)
-        nextWord(m->_index / 64) |= bit(m->_index);
-    else
-        _wheel.schedule(_cycle, at, m);
+    _wheel.schedule(_cycle, at, m);
 }
 
 std::size_t
@@ -251,6 +208,7 @@ Simulator::step()
         }
     }
     _inTickPhase = false;
+    _moduleTicks += ticks;
     g_moduleTicks += ticks;
     if (measured)
         _hostProf->addTotal(t_prev - t_start);
@@ -275,8 +233,21 @@ Simulator::sampleWindow()
 {
     if (_powerMeter != nullptr)
         _powerMeter->sample(*this);
+    // The window's ticks and wakes, counted whether or not a sink is
+    // attached so a sink attached mid-run starts at its first window.
+    const u64 ticks = _moduleTicks - _ticksSampled;
+    const u64 wakes = _scheduledWakes - _wakesSampled;
+    _ticksSampled = _moduleTicks;
+    _wakesSampled = _scheduledWakes;
     if (_trace == nullptr)
         return;
+    // Like the stall tracks, a window with none is not sampled.
+    if (ticks != 0)
+        _trace->counter("sim", "sim/ticks", _cycle,
+                        static_cast<double>(ticks));
+    if (wakes != 0)
+        _trace->counter("sim", "sim/wakes", _cycle,
+                        static_cast<double>(wakes));
     for (StallAccount *a : _stallAccounts)
         a->emitCounters(*_trace, _cycle);
     if (_hostProf != nullptr)
@@ -324,7 +295,7 @@ Simulator::dumpHangDiagnostics(std::ostream &os) const
     if (!_stallAccounts.empty())
         os << "per-module stall state:\n";
     for (const StallAccount *a : _stallAccounts)
-        a->dumpState(os, _cycle);
+        a->dumpState(os);
     for (const auto &fn : _hangDumpers)
         fn(os);
     os.flush();

@@ -185,6 +185,8 @@ class Simulator
      * cursor (or a wake arriving outside the tick phase) is woken in
      * place.
      * No-op under the tick kernel or when @p m is already awake.
+     * Defined below the class, like wakeAt and scheduleWake, so a
+     * queue push or pop can inline its wakes.
      */
     void wakeNow(Module *m);
 
@@ -222,7 +224,14 @@ class Simulator
     {
         _plantLostWakePeriod = period;
         _scheduledWakes = 0;
+        _wakesSampled = 0;
     }
+
+    /**
+     * Wakes armed for a later cycle that passed the per-module dedup:
+     * next-cycle bits and wheel entries, planted losses included.
+     */
+    u64 scheduledWakes() const { return _scheduledWakes; }
 
     /** Root statistics group for the simulated design. */
     StatGroup &stats() { return _stats; }
@@ -348,9 +357,10 @@ class Simulator
     /**
      * Cycles in one sampling window. At every multiple of it, after the
      * cycle advances, step() samples the attached PowerMeter and, while
-     * a TraceSink is attached, emits the stall, host-profiler and
-     * registered counter samples. A power of two, so the boundary test
-     * is one mask.
+     * a TraceSink is attached, emits the window's module ticks and
+     * scheduled wakes ("sim/ticks", "sim/wakes"), then the stall,
+     * host-profiler and registered counter samples. A power of two, so
+     * the boundary test is one mask.
      */
     static constexpr Cycle kSampleWindow = 1024;
 
@@ -361,6 +371,12 @@ class Simulator
      * wheel.
      */
     void scheduleWake(Module *m, Cycle at) BTH_REQUIRES(gSimThreadRole);
+
+    /**
+     * scheduleWake's wheel insert, kept out of line so an inlined wake
+     * site stays a bit test and a dedup compare.
+     */
+    void wheelWake(Module *m, Cycle at) BTH_REQUIRES(gSimThreadRole);
 
     /** Module @p i's bit in its mask word (word i / 64). */
     static u64 bit(std::size_t i) { return u64(1) << (i % 64); }
@@ -391,6 +407,11 @@ class Simulator
     std::size_t _cursor BTH_GUARDED_BY(gSimThreadRole) = 0;
     u64 _plantLostWakePeriod = 0;
     u64 _scheduledWakes = 0;
+    /** Module ticks this simulator has run (both kernels). */
+    u64 _moduleTicks = 0;
+    /** Totals at the last window sample, for the "sim" counters. */
+    u64 _ticksSampled = 0;
+    u64 _wakesSampled = 0;
     std::vector<StallAccount *> _stallAccounts;
     StatGroup _stats{"soc"};
     TraceSink *_trace = nullptr;
@@ -420,6 +441,55 @@ class Simulator
     /** Cycles between periodic invariant checks. */
     static constexpr Cycle kInvariantPeriod = 256;
 };
+
+inline void
+Simulator::wakeNow(Module *m)
+{
+    gSimThreadRole.assertHeld();
+    const std::size_t i = m->_index;
+    if (_kernel == SimKernel::Tick || (awakeWord(i / 64) & bit(i)) != 0)
+        return;
+    if (_inTickPhase && i <= _cursor) {
+        // The module already ticked this cycle (or is mid-tick): the
+        // earliest it could observe the event under the tick kernel is
+        // next cycle, so defer the wake to the next-cycle mask.
+        scheduleWake(m, _cycle + 1);
+    } else {
+        awakeWord(i / 64) |= bit(i);
+    }
+}
+
+inline void
+Simulator::wakeAt(Module *m, Cycle at)
+{
+    gSimThreadRole.assertHeld();
+    if (_kernel == SimKernel::Tick)
+        return;
+    if (at <= _cycle) {
+        wakeNow(m);
+        return;
+    }
+    scheduleWake(m, at);
+}
+
+inline void
+Simulator::scheduleWake(Module *m, Cycle at)
+{
+    if (m->_lastScheduledWake == at)
+        return; // a wake for this cycle is already armed
+    m->_lastScheduledWake = at;
+    ++_scheduledWakes;
+    if (_plantLostWakePeriod != 0 &&
+        _scheduledWakes % _plantLostWakePeriod == 0) {
+        return; // planted fault: this wake is silently lost
+    }
+    // Between steps, cycle+1 is two steps ahead, so only a tick's wake
+    // for the next cycle may skip the wheel.
+    if (_inTickPhase && at == _cycle + 1)
+        nextWord(m->_index / 64) |= bit(m->_index);
+    else
+        wheelWake(m, at);
+}
 
 } // namespace beethoven
 

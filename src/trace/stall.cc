@@ -84,18 +84,23 @@ StallAccount::emitCounters(TraceSink &ts, Cycle now)
     }
 }
 
+u64
+StallAccount::count(StallClass c) const
+{
+    u64 n = _counts[static_cast<std::size_t>(c)];
+    const Cycle now = _sim.cycle();
+    if (c == _gapClass && now > _nextUnaccounted)
+        n += now - _nextUnaccounted; // the gap not yet backfilled
+    return n;
+}
+
 void
-StallAccount::dumpState(std::ostream &os, Cycle now) const
+StallAccount::dumpState(std::ostream &os) const
 {
     os << "  " << _name << ": last=" << stallClassName(_current);
     for (std::size_t i = 0; i < kNumStallClasses; ++i) {
-        u64 n = _counts[i];
-        if (static_cast<StallClass>(i) == _gapClass &&
-            now > _nextUnaccounted) {
-            n += now - _nextUnaccounted; // implied unaccounted tail
-        }
-        os << " " << stallClassName(static_cast<StallClass>(i)) << "="
-           << n;
+        const auto c = static_cast<StallClass>(i);
+        os << " " << stallClassName(c) << "=" << count(c);
     }
     os << "\n";
 }

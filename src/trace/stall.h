@@ -81,7 +81,7 @@ class StallAccount
     void emitCounters(TraceSink &ts, Cycle now);
 
     /** One-line state dump for hang diagnostics (no mutation). */
-    void dumpState(std::ostream &os, Cycle now) const;
+    void dumpState(std::ostream &os) const;
 
     /**
      * Class used to backfill unclassified gaps (default Idle). The
@@ -98,11 +98,12 @@ class StallAccount
 
     const std::string &name() const { return _name; }
 
-    /** Raw count (excludes the not-yet-backfilled Idle tail). */
-    u64 count(StallClass c) const
-    {
-        return _counts[static_cast<std::size_t>(c)];
-    }
+    /**
+     * Cycles classified as @p c up to the current cycle, the gap not
+     * yet backfilled included, so the count reads the same under both
+     * kernels at any cycle.
+     */
+    u64 count(StallClass c) const;
 
   private:
     Simulator &_sim;

@@ -56,7 +56,7 @@ SpadLoopbackCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        auto cmd = awaitCommand();
         if (!cmd)
             return;
         _cmd = *cmd;

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +31,7 @@
 #include "platform/sim_platform.h"
 #include "power/power.h"
 #include "runtime/fpga_handle.h"
+#include "trace/stall.h"
 #include "verify/fuzz.h"
 #include "verify/random_soc.h"
 #include "verify/traffic.h"
@@ -63,11 +65,12 @@ digestOf(AcceleratorSoc &soc)
 }
 
 /**
- * Run the canonical vecadd workload under @p kernel and digest the
- * full stats tree (including the published stall accounts).
+ * Run the canonical vecadd workload under @p kernel and return
+ * @p observe(soc) for the finished SoC.
  */
-RunDigest
-vecAddDigest(u64 seed, SimKernel kernel)
+template <typename Observe>
+auto
+vecAddRun(u64 seed, SimKernel kernel, Observe &&observe)
 {
     SimulationPlatform platform;
     AcceleratorConfig cfg(VecAddCore::systemConfig(2));
@@ -95,7 +98,17 @@ vecAddDigest(u64 seed, SimKernel kernel)
     }
     for (auto &h : handles)
         h.get();
-    return digestOf(soc);
+    return observe(soc);
+}
+
+/**
+ * The canonical vecadd run's digest: the full stats tree, including
+ * the published stall accounts.
+ */
+RunDigest
+vecAddDigest(u64 seed, SimKernel kernel)
+{
+    return vecAddRun(seed, kernel, digestOf);
 }
 
 /** Run one memcpy stream under @p kernel and digest the end state. */
@@ -220,6 +233,32 @@ TEST(CrossKernel, VecAddBitIdentical)
     const RunDigest tick = vecAddDigest(0xD5EED, SimKernel::Tick);
     expectKernelsAgree(tick, vecAddDigest(0xD5EED, SimKernel::Event),
                        "vecadd event");
+}
+
+TEST(CrossKernel, StallCountsMatchBeforePublish)
+{
+    // StallAccount::count() reads the gap a sleeping module has not
+    // backfilled yet, so every class agrees across kernels mid-run, not
+    // only once publishStallStats() has folded the gaps in.
+    using Counts = std::map<std::string, std::vector<u64>>;
+    const auto counts = [](AcceleratorSoc &soc) {
+        Counts out;
+        for (const StallAccount *a : soc.sim().stallAccounts()) {
+            std::vector<u64> &row = out[a->name()];
+            for (std::size_t i = 0; i < kNumStallClasses; ++i)
+                row.push_back(a->count(static_cast<StallClass>(i)));
+        }
+        return out;
+    };
+    const Counts tick = vecAddRun(0xD5EED, SimKernel::Tick, counts);
+    const Counts event = vecAddRun(0xD5EED, SimKernel::Event, counts);
+    EXPECT_FALSE(tick.empty());
+    EXPECT_EQ(tick.size(), event.size());
+    for (const auto &[name, row] : tick) {
+        auto it = event.find(name);
+        ASSERT_NE(it, event.end()) << name;
+        EXPECT_EQ(row, it->second) << name;
+    }
 }
 
 TEST(CrossKernel, MemcpyBitIdentical)

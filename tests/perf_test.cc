@@ -24,6 +24,7 @@
 #include "runtime/fpga_handle.h"
 #include "sim/module.h"
 #include "sim/simulator.h"
+#include "trace/trace.h"
 
 namespace beethoven
 {
@@ -164,14 +165,20 @@ struct VecAddRun
     std::string digest;
     /** Module ticks the run executed (globalModuleTicks() delta). */
     u64 moduleTicks = 0;
+    /** The run's scheduled wakes (Simulator::scheduledWakes()). */
+    u64 wakes = 0;
 };
 
 /**
  * Canonical vecadd workload under @p kernel (same shape as
- * determinism_test.cc). When @p prof is non-null the run is profiled.
+ * determinism_test.cc), @p n elements per core. When @p prof is
+ * non-null the run is profiled. When @p sink is non-null the run is
+ * traced and then stepped to the end of its sampling window, so every
+ * tick and wake lands in a sampled window.
  */
 VecAddRun
-vecAddRun(u64 seed, SimKernel kernel, HostProfiler *prof)
+vecAddRun(u64 seed, SimKernel kernel, HostProfiler *prof,
+          TraceSink *sink = nullptr, unsigned n = 128)
 {
     const u64 ticks_before = globalModuleTicks();
     SimulationPlatform platform;
@@ -180,11 +187,12 @@ vecAddRun(u64 seed, SimKernel kernel, HostProfiler *prof)
     soc.sim().setKernel(kernel);
     if (prof != nullptr)
         soc.sim().attachHostProfiler(prof);
+    if (sink != nullptr)
+        soc.sim().attachTrace(sink);
     RuntimeServer server(soc);
     fpga_handle_t handle(server);
 
     Rng rng(seed);
-    const unsigned n = 128;
     std::vector<remote_ptr> bufs;
     for (unsigned c = 0; c < 2; ++c) {
         remote_ptr mem = handle.malloc(n * sizeof(u32));
@@ -202,12 +210,18 @@ vecAddRun(u64 seed, SimKernel kernel, HostProfiler *prof)
     }
     for (auto &h : handles)
         h.get();
+    Simulator &sim = soc.sim();
+    if (sink != nullptr) {
+        const Cycle w = Simulator::kSampleWindow;
+        sim.run(w - sim.cycle() % w);
+    }
 
-    soc.sim().publishStallStats();
+    sim.publishStallStats();
     std::ostringstream os;
-    soc.sim().stats().dumpJson(os);
-    os << "@" << soc.sim().cycle();
-    return {os.str(), globalModuleTicks() - ticks_before};
+    sim.stats().dumpJson(os);
+    os << "@" << sim.cycle();
+    return {os.str(), globalModuleTicks() - ticks_before,
+            sim.scheduledWakes()};
 }
 
 TEST(HostProfiler, ProfiledRunIsBitIdenticalToUnprofiled)
@@ -258,10 +272,42 @@ TEST(HostProfiler, EventRunModuleTicksStayBounded)
 {
     // Module ticks do not depend on host speed, so ctest can gate
     // them: a module that stops sleeping raises the count. Measured
-    // 1380; with a host interface that ticked on every cycle the run
-    // took 1586.
+    // 1210; with cores that ticked while idle the run took 1380, and
+    // with a host interface that also ticked on every cycle 1586.
     const VecAddRun run = vecAddRun(0xD5EED, SimKernel::Event, nullptr);
-    EXPECT_LE(run.moduleTicks, 1380u);
+    EXPECT_LE(run.moduleTicks, 1210u);
+}
+
+TEST(SimCounters, WindowsSumToRunTicksAndWakes)
+{
+    // The "sim" window counters split the run's module ticks and
+    // scheduled wakes into windows; over full windows they add up. The
+    // vectors are long enough for the run to span several windows.
+    TraceSink sink;
+    const VecAddRun run =
+        vecAddRun(0xD5EED, SimKernel::Event, nullptr, &sink, 4096);
+    std::ostringstream os;
+    sink.writeChromeTrace(os);
+    const JsonValue root = parseJson(os.str());
+    double ticks = 0.0, wakes = 0.0;
+    unsigned tick_samples = 0;
+    for (const JsonValue &e : root.find("traceEvents")->array) {
+        const JsonValue *ph = e.find("ph");
+        if (ph == nullptr || ph->string != "C")
+            continue;
+        const std::string &name = e.find("name")->string;
+        const double v = e.find("args")->find("value")->number;
+        if (name == "sim/ticks") {
+            ticks += v;
+            ++tick_samples;
+        } else if (name == "sim/wakes") {
+            wakes += v;
+        }
+    }
+    EXPECT_GE(tick_samples, 3u);
+    EXPECT_EQ(ticks, static_cast<double>(run.moduleTicks));
+    EXPECT_EQ(wakes, static_cast<double>(run.wakes));
+    EXPECT_GT(run.wakes, 0u);
 }
 
 // ---- run-level KPI sources -----------------------------------------
